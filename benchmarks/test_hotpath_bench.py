@@ -13,7 +13,17 @@ import json
 import os
 import pathlib
 
+import repro
 from repro.bench.experiments import hotpath_experiment
+from repro.crypto.integrity import BaseReader
+from repro.datasets import (
+    HospitalConfig,
+    doctor_policy,
+    generate_hospital,
+    researcher_policy,
+    secretary_policy,
+)
+from repro.store import LogStore
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -29,6 +39,13 @@ MIN_NATIVE_SPEEDUP = 10.0
 #: fallback runners the guard only requires that the pool never errors.
 MIN_POOL_SPEEDUP = 3.0
 POOL_GUARD_MIN_CORES = 4
+#: Deterministic work ceilings of one cold hospital request on a disk
+#: store.  The chunk cursor fetches each touched chunk record once
+#: (measured: 1.0-1.3x the stored bytes; the per-byte read path was
+#: ~95-217x) and calls ``BaseReader.read`` only to open a chunk or
+#: verify a fragment (measured: 36-80 calls; per-byte was 1.1k-2.6k).
+MAX_STORE_READ_PER_STORED_BYTE = 4.0
+MAX_READER_CALLS_PER_REQUEST = 160
 
 
 def test_hotpath_regression_guard():
@@ -81,3 +98,41 @@ def test_hotpath_regression_guard():
     written = json.loads((REPO_ROOT / "BENCH_hotpath.json").read_text())
     assert written["bench"] == "hotpath"
     assert written["ratios"] == ratios
+
+
+def test_cold_request_work_counts(tmp_path, monkeypatch):
+    calls = []
+    read = BaseReader.read
+
+    def counting_read(self, offset, length):
+        calls.append(offset)
+        return read(self, offset, length)
+
+    monkeypatch.setattr(BaseReader, "read", counting_read)
+    store = LogStore(str(tmp_path))
+    with repro.open_station(
+        repro.StationConfig(store=store, cache_views=False)
+    ) as station:
+        tree = generate_hospital(
+            HospitalConfig(
+                folders=16, doctors=4, acts_per_folder=3,
+                labresults_per_folder=2, seed=1,
+            )
+        )
+        station.publish("hospital", tree)
+        policies = [secretary_policy(), researcher_policy()] + [
+            doctor_policy("doctor%d" % index) for index in range(4)
+        ]
+        stored = station.document("hospital").secure.stored_size()
+        for policy in policies:
+            station.grant("hospital", policy)
+            before = store.describe()["bytes_read"]
+            del calls[:]
+            station.evaluate("hospital", policy.subject)
+            bytes_read = store.describe()["bytes_read"] - before
+            assert bytes_read <= MAX_STORE_READ_PER_STORED_BYTE * stored, (
+                policy.subject, bytes_read, stored,
+            )
+            assert 0 < len(calls) <= MAX_READER_CALLS_PER_REQUEST, (
+                policy.subject, len(calls),
+            )

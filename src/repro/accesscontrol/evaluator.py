@@ -154,6 +154,7 @@ class StreamingEvaluator:
         "rules",
         "query_index",
         "_prune_labels",
+        "_pruned_skip",
         "tokens",
         "auth",
         "qstack",
@@ -265,6 +266,7 @@ class StreamingEvaluator:
         self.depth = 0
         self._navigator = navigator
         self._outstanding = []
+        self._pruned_skip = False
         bottom = self.tokens.top
         for index, automaton in enumerate(self.automata):
             bottom.add_nav(NavToken(index, automaton.initial, ()))
@@ -426,6 +428,7 @@ class StreamingEvaluator:
             self.result.open(tag, NEVER)
             navigator.skip_subtree()
             meter.skipped_subtrees += 1
+            self._pruned_skip = True
             return True
         if mode == 1:
             fetch = navigator.skip_and_capture()
@@ -476,6 +479,29 @@ class StreamingEvaluator:
         if self._outstanding:
             self._resolve_outstanding()
         self._maybe_skip_rest()
+        if self._pruned_skip:
+            self._pruned_skip = False
+            self._skip_pruned_siblings()
+
+    def _skip_pruned_siblings(self) -> None:
+        """Skip-outright pruning, batched over a run of siblings.
+
+        The element just closed was pruned as denied without touching
+        any stack, so its following siblings meet exactly the same
+        stacks and instance states: each one whose tag and descendant
+        tags avoid every trigger label would be pruned as denied too.
+        The navigator skips those it can vet from its metadata alone;
+        the meter is charged as if each went through
+        :meth:`_prune_subtree` and its close (a denied, childless
+        result node renders nothing, so none is built).
+        """
+        count = self._navigator.skip_pruned_siblings(self._prune_labels)
+        if count:
+            meter = self.meter
+            meter.events += 2 * count
+            meter.decisions += count
+            meter.pruned_subtrees += count
+            meter.skipped_subtrees += count
 
 
     def _resolve_outstanding(self) -> None:

@@ -87,6 +87,15 @@ class Navigator:
         returns ``None`` when there was nothing to skip."""
         raise NotImplementedError("navigator does not support capture")
 
+    def skip_pruned_siblings(self, labels: frozenset) -> int:
+        """Skip the following sibling elements whose tag and descendant
+        tags all avoid ``labels``, up to the first one that does not (or
+        a text item, or the parent's end), charging the skipped bytes
+        as :meth:`skip_subtree` would.  Returns how many were skipped;
+        navigators that cannot vet a sibling without decoding it skip
+        none."""
+        return 0
+
 
 class SimpleEventNavigator(Navigator):
     """Minimal navigator over an event iterable — no skipping, no meta.

@@ -156,14 +156,24 @@ class PoolBackend(ComputeBackend):
         ranges = self._ranges(count)
         if ranges is None:
             return None
-        from repro.compute.worker import protect_range
+        from repro.compute.worker import Window, protect_range
         from repro.crypto.integrity import SecureDocument
 
-        plaintext = bytes(plaintext)
+        chunk_size = scheme.layout.chunk_size
+        size = len(plaintext)
         try:
             futures = [
                 self._pool().submit(
-                    protect_range, spec, plaintext, first, last, version
+                    protect_range,
+                    spec,
+                    Window(
+                        bytes(plaintext[first * chunk_size : last * chunk_size]),
+                        first * chunk_size,
+                        size,
+                    ),
+                    first,
+                    last,
+                    version,
                 )
                 for first, last in ranges
             ]
@@ -188,16 +198,24 @@ class PoolBackend(ComputeBackend):
         ranges = self._ranges(count)
         if ranges is None:
             return None
-        from repro.compute.worker import decrypt_range
+        from repro.compute.worker import Window, decrypt_range
 
-        stored = bytes(document.stored)
+        layout = scheme.layout
+        record = layout.chunk_size + (layout.digest_size if scheme.has_digest else 0)
+        stored = document.stored
+        size = len(stored)
         chunk_versions = list(document.chunk_versions)
+
+        def window(first, last):
+            start = first * record
+            return Window(bytes(stored[start : last * record]), start, size)
+
         try:
             futures = [
                 self._pool().submit(
                     decrypt_range,
                     spec,
-                    stored,
+                    window(first, last),
                     document.plaintext_size,
                     document.version,
                     chunk_versions,

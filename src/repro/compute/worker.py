@@ -41,15 +41,51 @@ def _scheme_for(spec: tuple):
     return scheme
 
 
+class Window:
+    """A slice of a larger buffer, addressed by the buffer's offsets.
+
+    Work units ship only the bytes their chunk range touches, but the
+    scheme code indexes plaintext and chunk records by absolute
+    position; a window answers ``len`` and contiguous slicing as if it
+    were the whole buffer.  A slice outside the shipped bytes raises
+    ``IndexError`` rather than reading short.
+    """
+
+    __slots__ = ("data", "base", "size")
+
+    def __init__(self, data: bytes, base: int, size: int):
+        self.data = data
+        self.base = base
+        self.size = size
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, index):
+        if not isinstance(index, slice):
+            raise TypeError("a window only supports slicing")
+        start, stop, step = index.indices(self.size)
+        if step != 1:
+            raise TypeError("a window only supports contiguous slicing")
+        if start < stop and (
+            start < self.base or stop > self.base + len(self.data)
+        ):
+            raise IndexError("slice outside the shipped window")
+        return self.data[start - self.base : stop - self.base]
+
+
 def init_worker() -> None:
     """Pool initializer — a warm-up hook and a fork-sanity marker."""
     _SCHEME_CACHE.clear()
 
 
 def protect_range(
-    spec: tuple, plaintext: bytes, first: int, last: int, version: int
+    spec: tuple, plaintext: Window, first: int, last: int, version: int
 ) -> bytes:
-    """The concatenated stored records of chunks ``[first, last)``."""
+    """The concatenated stored records of chunks ``[first, last)``.
+
+    ``plaintext`` holds just those chunks' bytes (see :class:`Window`).
+    """
     _maybe_crash()
     scheme = _scheme_for(spec)
     return b"".join(scheme._chunk_records(plaintext, range(first, last), version))
@@ -57,7 +93,7 @@ def protect_range(
 
 def decrypt_range(
     spec: tuple,
-    stored: bytes,
+    stored: Window,
     plaintext_size: int,
     version: int,
     chunk_versions: Optional[List[int]],
@@ -66,11 +102,11 @@ def decrypt_range(
 ) -> Tuple[bytes, Dict[str, int]]:
     """Decrypt + verify the plaintext covered by chunks ``[first, last)``.
 
-    The worker gets the whole stored buffer (chunk records are
-    addressed by absolute index, so slicing would break the position
-    math) but reads — and therefore decrypts, verifies and meters —
-    only its assigned chunk range.  Returns the plaintext slice and the
-    meter counts to fold into the caller's meter.
+    ``stored`` holds just the range's chunk records, addressed by
+    absolute offset (see :class:`Window`); the worker reads — and
+    therefore decrypts, verifies and meters — only that range.
+    Returns the plaintext slice and the meter counts to fold into the
+    caller's meter.
     """
     _maybe_crash()
     scheme = _scheme_for(spec)

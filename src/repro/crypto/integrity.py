@@ -283,14 +283,23 @@ class BaseScheme:
 class _ChunkCache:
     """Single-chunk SOE cache (the SOE RAM holds one chunk at a time;
     non-contiguous accesses re-pay the chunk work, as in the paper's
-    worst case of one digest per visited chunk)."""
+    worst case of one digest per visited chunk).
+
+    ``header`` / ``payload`` are the chunk record as fetched from the
+    terminal on first touch.  ``plain`` holds the chunk's plaintext,
+    decrypted in bulk once per verification unit; it is valid only on
+    verified fragments (``have_fragments``).  ``have_blocks`` are the
+    8-byte blocks already charged to the meter: the SOE pays for a
+    block the first time it is used, however the process decrypted it.
+    """
 
     def __init__(self):
         self.chunk_index: Optional[int] = None
+        self.header: Optional[bytes] = None
+        self.payload: Optional[bytes] = None
         self.plain: Optional[bytearray] = None
         self.have_blocks: Set[int] = set()
         self.have_fragments: Set[int] = set()
-        self.cipher_chunk: Optional[bytes] = None
         self.digest: Optional[bytes] = None
 
     def switch_to(self, chunk_index: int) -> bool:
@@ -298,17 +307,22 @@ class _ChunkCache:
         if self.chunk_index == chunk_index:
             return False
         self.chunk_index = chunk_index
+        self.header = None
+        self.payload = None
         self.plain = None
         self.have_blocks = set()
         self.have_fragments = set()
-        self.cipher_chunk = None
         self.digest = None
         return True
 
 
 class BaseReader:
     """SOE-side random-access reader: scheme-specific per-chunk work is
-    delegated to ``_prepare_chunk`` / ``_materialize_blocks``."""
+    delegated to ``_prepare_chunk`` / ``_ensure_range``."""
+
+    #: ECB charges the transfer of a block together with its decryption
+    #: (there is no verification unit to transfer ahead of use).
+    charges_transfer_per_block = False
 
     def __init__(self, scheme: BaseScheme, document: SecureDocument, meter: Meter):
         self.scheme = scheme
@@ -321,6 +335,8 @@ class BaseReader:
     def read(self, offset: int, length: int) -> bytes:
         """Plaintext bytes ``[offset, offset+length)``, decrypted and
         verified; every primitive cost is charged to the meter."""
+        if offset < 0:
+            raise IndexError("read offset %d is negative" % offset)
         if length <= 0:
             return b""
         end = min(offset + length, self.document.plaintext_size)
@@ -328,65 +344,81 @@ class BaseReader:
             return b""
         out = bytearray()
         layout = self.layout
+        cache = self.cache
         for chunk_index in layout.chunks_covering(offset, end - offset):
             chunk_start, chunk_end = layout.chunk_range(
                 chunk_index, self.document.plaintext_size
             )
             lo = max(offset, chunk_start) - chunk_start
             hi = min(end, chunk_end) - chunk_start
-            if self.cache.switch_to(chunk_index):
+            if cache.switch_to(chunk_index):
                 self.meter.chunks_accessed += 1
+                cache.header, cache.payload = self.document.chunk_record(chunk_index)
                 self._prepare_chunk(chunk_index)
             self._ensure_range(chunk_index, lo, hi)
-            assert self.cache.plain is not None
-            out.extend(self.cache.plain[lo:hi])
+            assert cache.plain is not None
+            out.extend(cache.plain[lo:hi])
         return bytes(out)
+
+    def window(self, start: int, end: int) -> Tuple[bytearray, int, int]:
+        """Make plaintext ``[start, end)`` ready and expose it in place.
+
+        ``[start, end)`` must lie inside one chunk.  Returns ``(plain,
+        base, ready_end)``: ``plain`` is the chunk's plaintext buffer
+        starting at document offset ``base``, and every byte of
+        ``[start, ready_end)`` is verified and already charged, so a
+        caller may read it straight from the buffer until the cache
+        moves to another chunk.  Bytes of the current chunk that need
+        no verification work go through :meth:`_charge_blocks` only;
+        anything else takes the full :meth:`read` path.
+        """
+        layout = self.layout
+        cache = self.cache
+        chunk_index = start // layout.chunk_size
+        base = chunk_index * layout.chunk_size
+        lo, hi = start - base, end - base
+        block = layout.block_size
+        if cache.chunk_index == chunk_index and self._verified(lo, hi):
+            self._charge_blocks(lo // block, (hi - 1) // block)
+        else:
+            self.read(start, end - start)
+        have = cache.have_blocks
+        ready = (hi - 1) // block + 1
+        while ready in have:
+            ready += 1
+        ready_end = min(base + ready * block, self.document.plaintext_size)
+        assert cache.plain is not None
+        return cache.plain, base, ready_end
+
+    def _charge_blocks(self, first: int, last: int) -> None:
+        """Charge blocks ``[first, last]`` of the current chunk on their
+        first use (the plaintext itself is already in ``cache.plain``)."""
+        have = self.cache.have_blocks
+        fresh = [index for index in range(first, last + 1) if index not in have]
+        if not fresh:
+            return
+        have.update(fresh)
+        amount = len(fresh) * self.layout.block_size
+        self.meter.bytes_decrypted += amount
+        if self.charges_transfer_per_block:
+            self.meter.bytes_transferred += amount
 
     # -- hooks ----------------------------------------------------------
     def _prepare_chunk(self, chunk_index: int) -> None:
-        """Chunk-granularity work on first touch (transfer/verify)."""
+        """Chunk-granularity work on first touch (transfer/verify); the
+        record is in ``cache.header`` / ``cache.payload``."""
         raise NotImplementedError
+
+    def _verified(self, lo: int, hi: int) -> bool:
+        """True if bytes ``[lo, hi)`` of the current chunk need no more
+        verification work (every prepared chunk, unless the scheme
+        verifies below chunk granularity)."""
+        return True
 
     def _ensure_range(self, chunk_index: int, lo: int, hi: int) -> None:
         """Make plaintext bytes ``[lo, hi)`` of the chunk available."""
-        raise NotImplementedError
-
-
-def _decrypt_block_runs(
-    cipher,
-    payload: bytes,
-    base_position: int,
-    first: int,
-    last: int,
-    cache: _ChunkCache,
-    meter: Meter,
-    block: int,
-    charge_transfer: bool = True,
-) -> None:
-    """Decrypt the not-yet-cached blocks in ``[first, last]`` as
-    contiguous runs (one positioned-mode call per run instead of one
-    per 8-byte block); charges are identical to the per-block form.
-
-    ``charge_transfer=False`` for readers whose transfer was already
-    charged at fragment granularity (ECB-MHT).
-    """
-    have = cache.have_blocks
-    plain_buffer = cache.plain
-    index = first
-    while index <= last:
-        if index in have:
-            index += 1
-            continue
-        run_start = index
-        while index <= last and index not in have:
-            index += 1
-        span = payload[run_start * block : index * block]
-        if charge_transfer:
-            meter.bytes_transferred += len(span)
-        plain = decrypt_positioned(cipher, span, base_position + run_start * block)
-        meter.bytes_decrypted += len(span)
-        plain_buffer[run_start * block : index * block] = plain
-        have.update(range(run_start, index))
+        block = self.layout.block_size
+        self._charge_blocks(lo // block, (hi - 1) // block)
 
 
 # ----------------------------------------------------------------------
@@ -410,28 +442,15 @@ class EcbScheme(BaseScheme):
 
 
 class _EcbReader(BaseReader):
-    def _prepare_chunk(self, chunk_index: int) -> None:
-        self.cache.plain = bytearray(self.layout.chunk_size)
+    charges_transfer_per_block = True
 
-    def _ensure_range(self, chunk_index: int, lo: int, hi: int) -> None:
-        layout = self.layout
-        block = layout.block_size
-        _digest, payload = self.document.chunk_record(chunk_index)
-        first = lo // block
-        last = (hi - 1) // block
+    def _prepare_chunk(self, chunk_index: int) -> None:
         base = versioned_position(
-            chunk_index * layout.chunk_size,
+            chunk_index * self.layout.chunk_size,
             self.document.chunk_version(chunk_index),
         )
-        _decrypt_block_runs(
-            self.scheme.cipher,
-            payload,
-            base,
-            first,
-            last,
-            self.cache,
-            self.meter,
-            block,
+        self.cache.plain = bytearray(
+            decrypt_positioned(self.scheme.cipher, self.cache.payload, base)
         )
 
 
@@ -488,7 +507,7 @@ class _CbcShaReader(BaseReader):
     def _prepare_chunk(self, chunk_index: int) -> None:
         layout = self.layout
         version = self.document.chunk_version(chunk_index)
-        encrypted_digest, payload = self.document.chunk_record(chunk_index)
+        encrypted_digest, payload = self.cache.header, self.cache.payload
         self.meter.bytes_transferred += layout.digest_size + layout.chunk_size
         plain = decrypt_cbc(
             self.scheme.cipher,
@@ -503,10 +522,7 @@ class _CbcShaReader(BaseReader):
         if sha1(plain) != digest:
             raise IntegrityError("chunk %d digest mismatch" % chunk_index)
         self.cache.plain = bytearray(plain)
-        self.cache.have_blocks = set(range(layout.chunk_size // layout.block_size))
-
-    def _ensure_range(self, chunk_index: int, lo: int, hi: int) -> None:
-        pass  # the whole chunk was materialized in _prepare_chunk
+        self.cache.have_blocks = set(range(layout.blocks_per_chunk))
 
 
 # ----------------------------------------------------------------------
@@ -534,7 +550,7 @@ class _CbcShacReader(BaseReader):
     def _prepare_chunk(self, chunk_index: int) -> None:
         layout = self.layout
         version = self.document.chunk_version(chunk_index)
-        encrypted_digest, payload = self.document.chunk_record(chunk_index)
+        encrypted_digest, payload = self.cache.header, self.cache.payload
         self.meter.bytes_transferred += layout.digest_size + layout.chunk_size
         self.meter.bytes_hashed += layout.chunk_size
         digest = self.scheme._decrypt_digest(encrypted_digest, chunk_index, version)
@@ -542,36 +558,15 @@ class _CbcShacReader(BaseReader):
         self.meter.digest_decrypts += 1
         if sha1(payload) != digest:
             raise IntegrityError("chunk %d digest mismatch" % chunk_index)
-        self.cache.cipher_chunk = payload
-        self.cache.plain = bytearray(layout.chunk_size)
-
-    def _ensure_range(self, chunk_index: int, lo: int, hi: int) -> None:
-        layout = self.layout
-        block = layout.block_size
-        payload = self.cache.cipher_chunk
-        assert payload is not None
-        first = lo // block
-        last = (hi - 1) // block
-        for index in range(first, last + 1):
-            if index in self.cache.have_blocks:
-                continue
-            previous = (
-                make_iv(
-                    versioned_position(
-                        chunk_index, self.document.chunk_version(chunk_index)
-                    )
-                )
-                if index == 0
-                else payload[(index - 1) * block : index * block]
+        # The ciphertext is verified: decrypt it in one pass; each block
+        # is still charged on first use.
+        self.cache.plain = bytearray(
+            decrypt_cbc(
+                self.scheme.cipher,
+                payload,
+                make_iv(versioned_position(chunk_index, version)),
             )
-            cipher_block = payload[index * block : (index + 1) * block]
-            plain_block = self.scheme.cipher.decrypt_block(cipher_block)
-            plain = (
-                int.from_bytes(plain_block, "big") ^ int.from_bytes(previous, "big")
-            ).to_bytes(block, "big")
-            self.meter.bytes_decrypted += block
-            self.cache.plain[index * block : (index + 1) * block] = plain
-            self.cache.have_blocks.add(index)
+        )
 
 
 # ----------------------------------------------------------------------
@@ -674,7 +669,7 @@ class _CbcShaDocReader(BaseReader):
     def _prepare_chunk(self, chunk_index: int) -> None:
         layout = self.layout
         version = self.document.chunk_version(chunk_index)
-        encrypted_digest, payload = self.document.chunk_record(chunk_index)
+        encrypted_digest, payload = self.cache.header, self.cache.payload
         self.meter.bytes_transferred += layout.digest_size + layout.chunk_size
         if chunk_index == 0:
             iv = make_iv(
@@ -684,10 +679,8 @@ class _CbcShaDocReader(BaseReader):
             # The chain IV is the previous chunk's last ciphertext
             # block, fetched from the (untrusted) store; tampering with
             # it garbles this chunk's first block and fails the digest.
-            _prev_digest, prev_payload = self.document.chunk_record(
-                chunk_index - 1
-            )
-            iv = prev_payload[-layout.block_size :]
+            end = chunk_index * (layout.digest_size + layout.chunk_size)
+            iv = bytes(self.document.stored[end - layout.block_size : end])
             self.meter.bytes_transferred += layout.block_size
         plain = decrypt_cbc(self.scheme.cipher, payload, iv)
         self.meter.bytes_decrypted += layout.chunk_size
@@ -700,10 +693,7 @@ class _CbcShaDocReader(BaseReader):
         if sha1(plain) != digest:
             raise IntegrityError("chunk %d digest mismatch" % chunk_index)
         self.cache.plain = bytearray(plain)
-        self.cache.have_blocks = set(range(layout.chunk_size // layout.block_size))
-
-    def _ensure_range(self, chunk_index: int, lo: int, hi: int) -> None:
-        pass  # the whole chunk was materialized in _prepare_chunk
+        self.cache.have_blocks = set(range(layout.blocks_per_chunk))
 
 
 # ----------------------------------------------------------------------
@@ -741,34 +731,38 @@ class _EcbMhtReader(BaseReader):
 
     def _terminal_tree(self, chunk_index: int) -> MerkleTree:
         """The terminal's Merkle tree for a chunk (untrusted side; built
-        over the ciphertext it stores)."""
+        over the ciphertext it stores, here the current chunk's)."""
         tree = self._tree_cache.get(chunk_index)
         if tree is None:
-            _digest, payload = self.document.chunk_record(chunk_index)
-            tree = MerkleTree(self.layout.split_fragments(payload))
+            tree = MerkleTree(self.layout.split_fragments(self.cache.payload))
             self._tree_cache[chunk_index] = tree
         return tree
 
     def _prepare_chunk(self, chunk_index: int) -> None:
         layout = self.layout
-        encrypted_digest, _payload = self.document.chunk_record(chunk_index)
         self.meter.bytes_transferred += layout.digest_size
         self.cache.digest = self.scheme._decrypt_digest(
-            encrypted_digest, chunk_index, self.document.chunk_version(chunk_index)
+            self.cache.header, chunk_index, self.document.chunk_version(chunk_index)
         )
         self.meter.bytes_decrypted += layout.digest_size
         self.meter.digest_decrypts += 1
         self.cache.plain = bytearray(layout.chunk_size)
 
+    def _verified(self, lo: int, hi: int) -> bool:
+        have = self.cache.have_fragments
+        size = self.layout.fragment_size
+        return all(f in have for f in range(lo // size, (hi - 1) // size + 1))
+
     def _ensure_range(self, chunk_index: int, lo: int, hi: int) -> None:
         layout = self.layout
+        cache = self.cache
         needed_fragments = [
             f
             for f in layout.fragments_covering(lo, hi - lo)
-            if f not in self.cache.have_fragments
+            if f not in cache.have_fragments
         ]
-        _digest, payload = self.document.chunk_record(chunk_index)
         if needed_fragments:
+            payload = cache.payload
             fragment_size = layout.fragment_size
             fragments: Dict[int, bytes] = {}
             for f in needed_fragments:
@@ -784,66 +778,99 @@ class _EcbMhtReader(BaseReader):
                 layout.fragments_per_chunk,
                 fragments,
                 siblings,
-                self.cache.digest,
+                cache.digest,
             )
             self.meter.hash_nodes += recombinations
             if not ok:
                 raise IntegrityError(
                     "chunk %d Merkle verification failed" % chunk_index
                 )
-            self.cache.have_fragments.update(needed_fragments)
-        # Decrypt only the blocks of the requested range (batched into
-        # contiguous runs; the transfer was already charged per
-        # fragment above).
-        block = layout.block_size
-        base = versioned_position(
-            chunk_index * layout.chunk_size,
-            self.document.chunk_version(chunk_index),
-        )
-        _decrypt_block_runs(
-            self.scheme.cipher,
-            payload,
-            base,
-            lo // block,
-            (hi - 1) // block,
-            self.cache,
-            self.meter,
-            block,
-            charge_transfer=False,
-        )
+            # Verified: decrypt each fragment whole (its transfer was
+            # charged above; decryption is charged per block on first
+            # use below).
+            base = versioned_position(
+                chunk_index * layout.chunk_size,
+                self.document.chunk_version(chunk_index),
+            )
+            for f in needed_fragments:
+                start = f * fragment_size
+                cache.plain[start : start + fragment_size] = decrypt_positioned(
+                    self.scheme.cipher, fragments[f], base + start
+                )
+            cache.have_fragments.update(needed_fragments)
+        super()._ensure_range(chunk_index, lo, hi)
 
 
 # ----------------------------------------------------------------------
 # Bytes-like adapter for the Skip-index decoder
 # ----------------------------------------------------------------------
 class SecureBytes:
-    """Random-access bytes view over a scheme reader.
+    """Random-access bytes view over a scheme reader: the chunk cursor.
 
     Supports ``len``, integer indexing and slicing — exactly what the
-    Skip-index :class:`~repro.skipindex.bitio.BitReader` needs.  Every
-    access flows through the scheme's decrypt-and-verify path, so costs
-    and integrity checks apply transparently to the decoding pipeline.
+    Skip-index :class:`~repro.skipindex.bitio.BitReader` needs.  The
+    view keeps a window onto the reader's current chunk buffer: the
+    bytes from the last access up to the end of the run of blocks the
+    reader has verified and charged.  A read inside the window is a
+    buffer index; any other read asks the reader (:meth:`BaseReader.
+    window`, or :meth:`BaseReader.read` across chunks), so costs and
+    integrity checks apply exactly as if every byte went through the
+    reader, and no byte of an unverified fragment is ever returned.
+    The view must be the only user of its reader: the window is valid
+    only while the reader's cache stays on the window's chunk.
     """
+
+    __slots__ = ("_reader", "_size", "_chunk_size", "_plain", "_base", "_lo", "_hi")
 
     def __init__(self, reader: BaseReader):
         self._reader = reader
         self._size = reader.document.plaintext_size
+        self._chunk_size = reader.layout.chunk_size
+        self._plain = b""
+        self._base = self._lo = self._hi = 0
 
     def __len__(self) -> int:
         return self._size
 
     def __getitem__(self, item):
-        if isinstance(item, slice):
-            start, stop, step = item.indices(self._size)
-            if step != 1:
-                raise ValueError("SecureBytes slices must be contiguous")
-            return self._reader.read(start, stop - start)
+        if item.__class__ is slice:
+            return self._slice(item)
+        if self._lo <= item < self._hi:
+            return self._plain[item - self._base]
         if item < 0:
             item += self._size
-        data = self._reader.read(item, 1)
-        if not data:
+            if item < 0:
+                raise IndexError("SecureBytes index out of range")
+        if item >= self._size:
             raise IndexError("SecureBytes index out of range")
-        return data[0]
+        self._open(item, item + 1)
+        return self._plain[item - self._base]
+
+    def _slice(self, item: slice) -> bytes:
+        start, stop, step = item.indices(self._size)
+        if step != 1:
+            raise ValueError("SecureBytes slices must be contiguous")
+        if stop <= start:
+            return b""
+        if self._lo <= start and stop <= self._hi:
+            base = self._base
+            return bytes(self._plain[start - base : stop - base])
+        if start // self._chunk_size != (stop - 1) // self._chunk_size:
+            # Spans chunks: the reader's own path, which leaves its
+            # cache on another chunk than the window's.
+            self._lo = self._hi = 0
+            return self._reader.read(start, stop - start)
+        self._open(start, stop)
+        base = self._base
+        return bytes(self._plain[start - base : stop - base])
+
+    def _open(self, start: int, stop: int) -> None:
+        """Make ``[start, stop)`` (inside one chunk) ready; re-aim the
+        window at it (the old one is dropped first: the reader may
+        move to another chunk and then fail verification)."""
+        self._lo = self._hi = 0
+        self._plain, self._base, self._hi = self._reader.window(start, stop)
+        self._lo = start
 
 
 SCHEMES = {

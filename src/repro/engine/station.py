@@ -1408,6 +1408,9 @@ class SecureStation:
             if self._closed:
                 return
             self._closed = True
+            # Cached views are served by nobody once closed; drop them
+            # now rather than whenever the last reference goes.
+            self._views.clear()
         self.backend.close()
         self.store.close()
 

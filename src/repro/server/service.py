@@ -27,7 +27,11 @@ Design points:
   ``queue_depth``-slot gate until the writer task has flushed earlier
   chunks with ``await writer.drain()``.  A slow client therefore
   stalls its own producer thread, bounding the frames (and sealing
-  work) in flight per connection.  Note the *serialized plaintext
+  work) in flight per connection.  The first ``queue_depth`` chunks
+  are within that bound anyway: they are chunked and sealed on the
+  thread that evaluated the view and written with one drain, and the
+  producer thread starts only for a view with chunks left after them.
+  Note the *serialized plaintext
   view* itself is materialized once per request by
   :meth:`SecureStation.stream` — the bound is on chunk copies and
   sealing, not on the view.
@@ -44,6 +48,7 @@ from __future__ import annotations
 
 import asyncio
 import threading
+from itertools import islice
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
@@ -425,17 +430,27 @@ class StationServer:
 
         def run_evaluate():
             if root is None:
-                return evaluate()
-            # Backend queueing: the wait between frame dispatch and the
-            # executor thread actually picking the request up.
-            nonlocal picked_up
-            picked_up = perf_counter()
-            if not deferred:
-                tracer.record(trace, "queue", started, picked_up, parent=root.id)
-            return evaluate(tracer, trace, root.id)
+                stream = evaluate()
+            else:
+                # Backend queueing: the wait between frame dispatch and
+                # the executor thread actually picking the request up.
+                nonlocal picked_up
+                picked_up = perf_counter()
+                if not deferred:
+                    tracer.record(
+                        trace, "queue", started, picked_up, parent=root.id
+                    )
+                stream = evaluate(tracer, trace, root.id)
+            # The first backpressure window of chunks is chunked (and
+            # sealed) right here, on the thread that evaluated the view:
+            # a view that fits it needs one executor hop, not two.
+            chunks = stream.chunks()
+            head = list(islice(chunks, self.queue_depth))
+            rest = chunks if stream.chunk_count > len(head) else None
+            return stream, head, rest
 
         try:
-            stream = await loop.run_in_executor(None, run_evaluate)
+            stream, head, rest = await loop.run_in_executor(None, run_evaluate)
         except StationError as exc:
             if trace:
                 tracer.discard(trace)
@@ -450,7 +465,7 @@ class StationServer:
             return True
 
         stream_started = perf_counter()
-        sent = await self._stream_chunks(stream, conn, writer)
+        sent = await self._stream_chunks(head, rest, conn, writer)
         if sent is None:
             if trace:
                 tracer.discard(trace)
@@ -776,14 +791,48 @@ class StationServer:
             except Exception:  # connection is on its way down
                 pass
 
-    async def _stream_chunks(
-        self, stream, conn: _Connection, writer: asyncio.StreamWriter
-    ) -> Optional[Tuple[int, int]]:
-        """Producer/consumer chunk streaming with a bounded queue.
+    def _write_chunk(
+        self, conn: _Connection, writer: asyncio.StreamWriter, chunk: bytes
+    ) -> None:
+        # writev-style send: header and payload go to the transport as
+        # separate buffers (no concatenated frame copy); the transport
+        # coalesces the writes until the next drain().
+        header, payload = encode_frame_parts(
+            CHUNK,
+            conn.session_id,
+            chunk,
+            max_payload=self.max_payload,
+        )
+        writer.write(header)
+        if payload:
+            writer.write(payload)
 
-        Returns ``(chunks, bytes)`` or ``None`` when the connection
-        died mid-stream.
+    async def _stream_chunks(
+        self,
+        head: List[bytes],
+        rest,
+        conn: _Connection,
+        writer: asyncio.StreamWriter,
+    ) -> Optional[Tuple[int, int]]:
+        """Write the prepared ``head`` chunks, then stream ``rest``.
+
+        ``head`` (at most the queue depth, chunked off-loop) goes out
+        with one drain.  ``rest``, the chunk iterator past it or
+        ``None`` when the view ended within it, is streamed through a
+        producer thread and a bounded queue.  Returns
+        ``(chunks, bytes)`` or ``None`` when the connection died
+        mid-stream.
         """
+        try:
+            for chunk in head:
+                self._write_chunk(conn, writer, chunk)
+            await writer.drain()
+        except (ConnectionResetError, BrokenPipeError):
+            return None
+        chunks = len(head)
+        sent_bytes = sum(len(chunk) for chunk in head)
+        if rest is None:
+            return chunks, sent_bytes
         loop = asyncio.get_running_loop()
         # The producer thread blocks on this gate until the writer has
         # flushed earlier chunks: that *is* the backpressure.  A plain
@@ -797,7 +846,7 @@ class StationServer:
 
         def produce():
             try:
-                for chunk in stream.chunks():
+                for chunk in rest:
                     gate.acquire()
                     if aborted.is_set():
                         return
@@ -807,8 +856,6 @@ class StationServer:
                 loop.call_soon_threadsafe(queue.put_nowait, exc)
 
         producer = loop.run_in_executor(None, produce)
-        chunks = 0
-        sent_bytes = 0
         unflushed = 0
         try:
             while True:
@@ -818,20 +865,9 @@ class StationServer:
                 if isinstance(item, Exception):
                     await self._send_error(writer, conn, E_INTERNAL, str(item))
                     return None
-                # writev-style send: header and payload go to the
-                # transport as separate buffers (no concatenated frame
-                # copy), and drain() runs once per queue_depth frames
-                # instead of per frame — the transport coalesces the
-                # writes, the gate still bounds what is in flight.
-                header, payload = encode_frame_parts(
-                    CHUNK,
-                    conn.session_id,
-                    item,
-                    max_payload=self.max_payload,
-                )
-                writer.write(header)
-                if payload:
-                    writer.write(payload)
+                # drain() runs once per queue_depth frames instead of
+                # per frame; the gate still bounds what is in flight.
+                self._write_chunk(conn, writer, item)
                 unflushed += 1
                 if unflushed >= self.queue_depth:
                     await writer.drain()

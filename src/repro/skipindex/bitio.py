@@ -95,6 +95,8 @@ class BitReader:
 
     def __init__(self, data: bytes, offset: int = 0):
         self._data = data
+        # ``len`` once: on a decrypting view it is a Python-level call.
+        self._size = len(data)
         self._byte_pos = offset
         self._bit_pos = 0
 
@@ -104,7 +106,7 @@ class BitReader:
         value = 0
         remaining = width
         while remaining > 0:
-            if self._byte_pos >= len(self._data):
+            if self._byte_pos >= self._size:
                 raise EOFError("bit stream exhausted")
             free = 8 - self._bit_pos
             take = min(free, remaining)
@@ -129,7 +131,7 @@ class BitReader:
     def read_bytes(self, count: int) -> bytes:
         self.align()
         end = self._byte_pos + count
-        if end > len(self._data):
+        if end > self._size:
             raise EOFError("byte stream exhausted")
         chunk = self._data[self._byte_pos : end]
         self._byte_pos = end
@@ -140,7 +142,7 @@ class BitReader:
         shift = 0
         value = 0
         while True:
-            if self._byte_pos >= len(self._data):
+            if self._byte_pos >= self._size:
                 raise EOFError("varint exhausted")
             byte = self._data[self._byte_pos]
             self._byte_pos += 1

@@ -14,8 +14,8 @@ demand — the read-back of Section 5).
 
 The decoder reads from any random-access bytes-like object; the secure
 pipeline substitutes a lazily decrypting, integrity-checking view
-(:mod:`repro.soe.session`) so that skipped bytes are never transferred
-nor decrypted.
+(:class:`repro.crypto.integrity.SecureBytes`) so that skipped bytes are
+never transferred nor decrypted.
 """
 
 from __future__ import annotations

@@ -619,3 +619,39 @@ class IndexedNavigator(SkipIndexNavigator):
         self._offset = content
         meta = SubtreeMeta(frozenset(), size) if self.provide_meta else None
         return (OPEN, tag, meta)
+
+    def skip_pruned_siblings(self, labels: frozenset) -> int:
+        if not self.provide_meta or not self._stack:
+            return 0
+        dictionary = self.dictionary
+        mask = 0
+        for label in labels:
+            if label in dictionary:
+                mask |= 1 << dictionary.code(label)
+        index = self.index
+        starts = index.starts
+        end = self._stack[-1].end
+        offset = self._offset
+        item = self._item
+        count = skipped = 0
+        while offset < end:
+            if item >= len(starts) or starts[item] != offset:
+                item = bisect_right(starts, offset) - 1
+                if item < 0 or starts[item] != offset:
+                    raise StructuralIndexError(
+                        "index out of sync with document at offset %d" % offset
+                    )
+            if index.kinds[item] == ITEM_TEXT or (
+                (1 << index.tags[item]) | index.descs[item]
+            ) & mask:
+                break
+            size = index.sizes[item]
+            skipped += size
+            offset = index.contents[item] + size
+            item += 1
+            count += 1
+        self._offset = offset
+        self._item = item
+        if count and self.meter is not None:
+            self.meter.skipped_bytes += skipped
+        return count

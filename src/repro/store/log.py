@@ -245,10 +245,9 @@ class ChunkPager:
             return self._read(start, stop - start)
         if item < 0:
             item += self._size
-        data = self._read(item, 1)
-        if not data:
+        if not 0 <= item < self._size:
             raise IndexError("ChunkPager index out of range")
-        return data[0]
+        return self._read(item, 1)[0]
 
     def __bytes__(self) -> bytes:
         return self._read(0, self._size)
@@ -334,7 +333,6 @@ class LogStore(ChunkStore):
         self._segment_offsets: List[int] = []
         self._pages: "OrderedDict[Tuple[int, int], bytes]" = OrderedDict()
         self._page_bytes = 0
-        self._retired_maps: List[mmap.mmap] = []
         self.counters: Dict[str, int] = {
             "page_hits": 0,
             "page_misses": 0,
@@ -579,9 +577,11 @@ class LogStore(ChunkStore):
     # Reads: mmap + page cache
     # ------------------------------------------------------------------
     def _ensure_map(self, end: int) -> mmap.mmap:
+        # Callers hold the store lock and copy out of the map, so a
+        # superseded map has no readers left and is closed at once.
         if self._map is None or self._map_size < end:
             if self._map is not None:
-                self._retired_maps.append(self._map)
+                self._map.close()
             self._log.flush()
             size = os.path.getsize(self._chunk_path(self._generation))
             self._map = mmap.mmap(
@@ -1121,7 +1121,7 @@ class LogStore(ChunkStore):
             self._pages.clear()
             self._page_bytes = 0
             if old_map is not None:
-                self._retired_maps.append(old_map)
+                old_map.close()
             self._map = None
             self._map_size = 0
             self._log = open(self._chunk_path(new_generation), "a+b")
@@ -1184,9 +1184,10 @@ class LogStore(ChunkStore):
             if self._map is not None:
                 self._map.close()
                 self._map = None
-            for retired in self._retired_maps:
-                retired.close()
-            self._retired_maps = []
+            # A pager may outlive its store (and, through the pager ->
+            # store reference cycle, keep it reachable): drop the pages.
+            self._pages.clear()
+            self._page_bytes = 0
             self._log.close()
             self._manifest.close()
             try:

@@ -25,7 +25,7 @@ from repro.compute import (
 )
 from repro.compute.backends import ComputeBackend
 from repro.compute.native import NO_NATIVE_ENV
-from repro.compute.worker import POOL_CRASH_ENV
+from repro.compute.worker import POOL_CRASH_ENV, Window
 from repro.crypto import modes
 from repro.crypto.des import Des, TripleDes
 from repro.crypto.integrity import SCHEMES, make_scheme
@@ -222,6 +222,50 @@ def test_pool_protect_and_decrypt_match_serial(pool):
     assert meter.bytes_decrypted > 0  # worker meters folded into ours
     assert pool.stats["batches"] == 2
     assert pool.stats["fallbacks"] == 0
+
+
+@pytest.mark.parametrize("name", ["ECB", "ECB-MHT", "CBC-SHA", "CBC-SHAC"])
+def test_pool_units_ship_only_their_range(pool, monkeypatch, name):
+    """Each work unit carries just its chunk range's bytes, and the
+    folded meters equal the serial reader's, field by field."""
+    rng = random.Random(8)
+    plaintext = random_bytes(rng, 50_000)
+    scheme = make_scheme(name, backend=pool)
+    shipped = []
+    executor = pool._pool()
+    submit = executor.submit
+
+    def recording_submit(fn, spec, window, *args):
+        shipped.append(len(window.data))
+        return submit(fn, spec, window, *args)
+
+    monkeypatch.setattr(executor, "submit", recording_submit)
+    document = pool.protect_document(scheme, plaintext, 3)
+    assert document is not None
+    assert document.stored == make_scheme(name).protect(plaintext, 3).stored
+    assert sum(shipped) == len(plaintext)
+
+    del shipped[:]
+    meter = Meter()
+    assert pool.decrypt_document(scheme, document, meter) == plaintext
+    assert sum(shipped) == len(document.stored)
+    serial = Meter()
+    make_scheme(name).reader(document, serial).read(0, len(plaintext))
+    assert meter.as_dict() == serial.as_dict()
+
+
+def test_window_slices_by_absolute_offset():
+    window = Window(b"cdef", 2, 10)
+    assert len(window) == 10
+    assert window[2:4] == b"cd"
+    assert window[3:6] == b"def"
+    assert window[7:7] == b""
+    with pytest.raises(IndexError):
+        window[1:3]  # starts before the shipped bytes
+    with pytest.raises(IndexError):
+        window[4:8]  # runs past them
+    with pytest.raises(TypeError):
+        window[3]
 
 
 def test_pool_declines_small_documents(pool):

@@ -420,3 +420,198 @@ class TestSchemes:
         stored = bytes(document.stored)
         blocks = {stored[i : i + 8] for i in range(0, 128, 8)}
         assert len(blocks) == 16
+
+
+# ----------------------------------------------------------------------
+# Chunk cursor: SecureBytes reads in place from the verified chunk
+# ----------------------------------------------------------------------
+class PerByteView:
+    """The reference adapter: every access is one ``BaseReader.read``."""
+
+    def __init__(self, reader):
+        self._reader = reader
+        self._size = reader.document.plaintext_size
+
+    def __len__(self):
+        return self._size
+
+    def __getitem__(self, item):
+        if isinstance(item, slice):
+            start, stop, _step = item.indices(self._size)
+            return self._reader.read(start, stop - start)
+        data = self._reader.read(item, 1)
+        if not data:
+            raise IndexError(item)
+        return data[0]
+
+
+def _kernel_factory(kernel):
+    from repro.compute.native import native_available, native_factory
+
+    if kernel == "pure":
+        return Xtea
+    if not native_available():
+        pytest.skip("native kernels unavailable")
+    return native_factory(Xtea)
+
+
+def _hospital_encoding(seed):
+    from repro.datasets import HospitalConfig, generate_hospital
+    from repro.skipindex.encoder import encode_document
+
+    return encode_document(generate_hospital(HospitalConfig(folders=4, seed=seed)))
+
+
+def _random_walk(navigator, rng):
+    """Drive a navigator with random skip / capture decisions; fetched
+    spans are read back at random later points."""
+    from repro.xmlkit.events import OPEN
+
+    out, pending = [], []
+    while True:
+        item = navigator.next()
+        if item is None:
+            break
+        out.append((item[0], item[1]))
+        if item[0] == OPEN:
+            roll = rng.random()
+            if roll < 0.15:
+                navigator.skip_subtree()
+            elif roll < 0.3:
+                pending.append(navigator.skip_and_capture())
+            elif roll < 0.35:
+                navigator.skip_rest()
+            elif roll < 0.4:
+                fetch = navigator.skip_rest_and_capture()
+                if fetch is not None:
+                    pending.append(fetch)
+        if pending and rng.random() < 0.2:
+            out.extend(tuple(e) for e in pending.pop(rng.randrange(len(pending)))())
+    for fetch in pending:
+        out.extend(tuple(e) for e in fetch())
+    return out
+
+
+class TestChunkCursor:
+    @pytest.mark.parametrize("kernel", ["pure", "native"])
+    @pytest.mark.parametrize("name", sorted(SCHEMES))
+    def test_navigators_match_per_byte_reads(self, name, kernel):
+        from repro.skipindex.decoder import SkipIndexNavigator
+        from repro.skipindex.structural import (
+            IndexedNavigator,
+            build_structural_index,
+        )
+
+        scheme = make_scheme(name, key=KEY16, cipher_factory=_kernel_factory(kernel))
+        for seed in (1, 2):
+            encoded = _hospital_encoding(seed)
+            document = scheme.protect(encoded.data)
+            index = build_structural_index(encoded)
+            makers = {
+                "streamed": lambda data, meter: SkipIndexNavigator(
+                    data, encoded.dictionary, encoded.root_offset, meter=meter
+                ),
+                "indexed": lambda data, meter: IndexedNavigator(
+                    data, index, encoded.dictionary, meter=meter
+                ),
+            }
+            for label, make_navigator in makers.items():
+                for walk_seed in range(4):
+                    runs = []
+                    for view in (SecureBytes, PerByteView):
+                        meter = Meter()
+                        data = view(scheme.reader(document, meter))
+                        events = _random_walk(
+                            make_navigator(data, meter), random.Random(walk_seed)
+                        )
+                        runs.append((events, meter.as_dict()))
+                    assert runs[0] == runs[1], (label, seed, walk_seed)
+                    assert runs[0][1]["skipped_bytes"] > 0
+
+    @pytest.mark.parametrize("kernel", ["pure", "native"])
+    @pytest.mark.parametrize("name", sorted(SCHEMES))
+    def test_station_decode_once_matches_per_byte_reads(
+        self, name, kernel, monkeypatch
+    ):
+        from repro.engine import SecureStation
+        from repro.engine import station as station_module
+        from repro.soe.session import PreparedDocument
+
+        scheme = make_scheme(name, key=KEY16, cipher_factory=_kernel_factory(kernel))
+        encoded = _hospital_encoding(3)
+        prepared = PreparedDocument(encoded, scheme, scheme.protect(encoded.data))
+        with SecureStation(backend="pure") as station:
+            runs = []
+            for view in (SecureBytes, PerByteView):
+                monkeypatch.setattr(station_module, "SecureBytes", view)
+                meter = Meter()
+                events = station._decode_once(prepared, meter)
+                runs.append((events, meter.as_dict()))
+        assert runs[0] == runs[1]
+        assert runs[0][1]["chunks_accessed"] == scheme.layout.chunk_count(
+            len(encoded.data)
+        )
+
+    def test_tampered_fragment_of_open_chunk_raises_when_touched(self):
+        scheme = make_scheme("ECB-MHT", key=KEY16)
+        document = scheme.protect(TestSchemes.PLAINTEXT)
+        layout = scheme.layout
+        chunk = layout.chunk_size
+        fragment = layout.fragment_size
+        target = 3 * fragment + 5  # chunk 1, fragment 3
+        for touch in (
+            lambda view: view[chunk + target],
+            lambda view: view[chunk + 3 * fragment - 4 : chunk + target + 1],
+        ):
+            reader = scheme.reader(document, Meter())
+            view = SecureBytes(reader)
+            # Chunk 1 opens; its first three fragments verify and read.
+            for offset in range(chunk, chunk + 3 * fragment):
+                assert view[offset] == TestSchemes.PLAINTEXT[offset]
+            # The terminal now flips a byte of a fragment it has not
+            # sent yet (its sibling hashes were already handed over).
+            payload = bytearray(reader.cache.payload)
+            payload[target] ^= 0x20
+            reader.cache.payload = bytes(payload)
+            with pytest.raises(IntegrityError):
+                touch(view)
+
+    def test_tampered_chunk_record_fails_on_first_touch(self):
+        scheme = make_scheme("ECB-MHT", key=KEY16)
+        document = scheme.protect(TestSchemes.PLAINTEXT)
+        layout = scheme.layout
+        record = layout.digest_size + layout.chunk_size
+        document.stored[record + layout.digest_size + 3 * layout.fragment_size] ^= 1
+        view = SecureBytes(scheme.reader(document, Meter()))
+        assert view[: layout.chunk_size] == TestSchemes.PLAINTEXT[: layout.chunk_size]
+        # The terminal's sibling hashes cover the flipped fragment.
+        with pytest.raises(IntegrityError):
+            view[layout.chunk_size]
+
+    @pytest.mark.parametrize("name", ["CBC-SHA", "CBC-SHAC", "CBC-SHA-DOC"])
+    def test_tampered_chunk_raises_on_first_touch(self, name):
+        scheme = make_scheme(name, key=KEY16)
+        document = scheme.protect(TestSchemes.PLAINTEXT)
+        layout = scheme.layout
+        record = layout.digest_size + layout.chunk_size
+        document.stored[record + layout.digest_size + 3 * layout.fragment_size] ^= 1
+        view = SecureBytes(scheme.reader(document, Meter()))
+        assert view[: layout.chunk_size] == TestSchemes.PLAINTEXT[: layout.chunk_size]
+        with pytest.raises(IntegrityError):
+            view[layout.chunk_size]
+
+    @pytest.mark.parametrize("name", sorted(SCHEMES))
+    def test_out_of_range_indexes_raise_index_error(self, name):
+        scheme = make_scheme(name, key=KEY16)
+        size = len(TestSchemes.PLAINTEXT)
+        document = scheme.protect(TestSchemes.PLAINTEXT)
+        reader = scheme.reader(document, Meter())
+        view = SecureBytes(reader)
+        for index in (-size - 1, -size - 5000, size, size + 1):
+            with pytest.raises(IndexError):
+                view[index]
+        with pytest.raises(IndexError):
+            reader.read(-1, 1)
+        assert view[-size] == TestSchemes.PLAINTEXT[0]
+        assert view[-1] == TestSchemes.PLAINTEXT[-1]
+        assert view[size - 3 : size + 10] == TestSchemes.PLAINTEXT[-3:]

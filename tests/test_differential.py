@@ -423,6 +423,73 @@ def test_fuzz_indexed_station_after_logstore_restart(seed, tmp_path):
         assert restarted.stats.index_stale == 0
 
 
+def _tree_with_cold_runs(rng: random.Random) -> Node:
+    """A random document whose elements often hold runs of siblings
+    tagged outside :data:`TAGS` (no policy or query ever names them)."""
+    from repro.xmlkit.parser import parse_document
+    from repro.xmlkit.serializer import serialize
+
+    tree = random_tree(rng, max_nodes=30)
+    for node in list(tree.descendants()):
+        if rng.random() < 0.5:
+            cold = [
+                Node(rng.choice(["u", "w"])).add(rng.choice(VALUES))
+                for _ in range(rng.randint(1, 5))
+            ]
+            at = rng.randint(0, len(node.children))
+            node.children[at:at] = cold
+    # Round-trip so adjacent text children merge, as the encoder does.
+    return parse_document(serialize(tree))
+
+
+def test_batched_sibling_pruning_matches_one_by_one():
+    """The indexed navigator's batched skip of denied sibling runs
+    gives the same view and the same Meter as pruning them one by one,
+    and both equal the DOM oracle."""
+    from repro.metrics import Meter
+    from repro.skipindex.encoder import encode_document
+    from repro.skipindex.structural import IndexedNavigator, build_structural_index
+
+    batched = []
+
+    class Counting(IndexedNavigator):
+        __slots__ = ()
+
+        def skip_pruned_siblings(self, labels):
+            count = IndexedNavigator.skip_pruned_siblings(self, labels)
+            batched.append(count)
+            return count
+
+    class OneByOne(IndexedNavigator):
+        __slots__ = ()
+
+        def skip_pruned_siblings(self, labels):
+            return 0
+
+    rng = random.Random(20)
+    for _ in range(150):
+        tree = _tree_with_cold_runs(rng)
+        policy = random_policy(rng)
+        query = random_structural_query(rng) if rng.random() < 0.6 else None
+        encoded = encode_document(tree)
+        index = build_structural_index(encoded)
+        runs = []
+        for navigator_class in (Counting, OneByOne):
+            meter = Meter()
+            navigator = navigator_class(
+                encoded.data, index, encoded.dictionary, meter=meter
+            )
+            evaluator = StreamingEvaluator(
+                policy, query=query, meter=meter, enable_pruning=True
+            )
+            runs.append((evaluator.run(navigator), meter.as_dict()))
+        context = "policy=%s query=%s" % (list(policy.rules), query)
+        assert runs[0] == runs[1], context
+        assert runs[0][0] == reference_authorized_view(tree, policy, query=query)
+    # The batch must actually have skipped runs of several siblings.
+    assert sum(count > 1 for count in batched) >= 10
+
+
 # ----------------------------------------------------------------------
 # Hypothesis property tests
 # ----------------------------------------------------------------------

@@ -294,6 +294,25 @@ class TestEndToEnd:
         assert result.chunks >= 2  # 128-byte chunks over a larger view
         assert result.trailer["bytes"] == result.result_bytes
 
+    @pytest.mark.parametrize("chunks", [3, 4, 5, 12])
+    def test_views_around_the_backpressure_window(self, hospital, chunks):
+        """The first queue_depth chunks are prepared with the view; a
+        longer view streams the rest through the producer thread.  Both
+        sides of the switch deliver the same bytes."""
+        station, _subjects = hospital
+        local = serialize_events(
+            station.evaluate("hospital", "secretary").events
+        ).encode("utf-8")
+        chunk_size = -(-len(local) // chunks)
+        expected_chunks = -(-len(local) // chunk_size)
+        server = StationServer(station, chunk_size=chunk_size, queue_depth=4)
+        with ServerThread(server) as (host, port):
+            with RemoteSession(host, port, "secretary") as session:
+                remote = session.evaluate("hospital")
+        assert remote.data == local
+        assert remote.chunks == expected_chunks
+        assert (expected_chunks > 4) == (chunks > 4)
+
     def test_unknown_document_is_structured_error(self, live_server):
         server, host, port, _subjects = live_server
         with RemoteSession(host, port, "secretary") as session:

@@ -15,6 +15,7 @@ Three families of guarantees:
   releases the directory lock.
 """
 
+import mmap
 import os
 import random
 
@@ -319,6 +320,69 @@ def test_compact_reclaims_and_preserves_views(tmp_path):
 
     with SecureStation(store=LogStore(directory)) as restarted:
         assert view_of(restarted) == expected
+
+
+class _TrackedMaps:
+    """Stand-in for the ``mmap`` module that remembers every map made."""
+
+    ACCESS_READ = mmap.ACCESS_READ
+
+    def __init__(self):
+        self.made = []
+
+    def mmap(self, *args, **kwargs):
+        made = mmap.mmap(*args, **kwargs)
+        self.made.append(made)
+        return made
+
+
+def test_updates_and_reads_leave_one_live_map(tmp_path, monkeypatch):
+    from repro.store import log as log_module
+
+    maps = _TrackedMaps()
+    monkeypatch.setattr(log_module, "mmap", maps)
+    store = LogStore(str(tmp_path))
+    with SecureStation(store=store, cache_views=False) as station, \
+            SecureStation(store=MemoryStore()) as reference:
+        publish(station)
+        publish(reference)
+        for index in range(12):
+            op = UpdateOp.set_text((index, 0), "edit %02d" % index)
+            station.update("doc", op)
+            reference.update("doc", op)
+            assert view_of(station) == view_of(reference)
+        store.compact()
+        assert view_of(station) == view_of(reference)
+        # Every log append outgrew the map, so reads remapped it; each
+        # superseded map (and the pre-compaction one) is closed at once.
+        assert len(maps.made) > 12
+        live = [made for made in maps.made if not made.closed]
+        assert live == [store._map]
+    assert all(made.closed for made in maps.made)
+
+
+def test_closed_store_holds_no_pages(tmp_path):
+    store = LogStore(str(tmp_path))
+    with SecureStation(store=store) as station:
+        publish(station)
+        view_of(station)
+        assert store.describe()["cache_entries"] > 0
+        pager = station.document("doc").secure.stored
+    # A pager outliving its store keeps the store reachable; the page
+    # cache must not come with it.
+    assert pager._store is store
+    assert store._pages == {} and store._page_bytes == 0
+
+
+def test_chunk_pager_index_out_of_range(tmp_path):
+    store = LogStore(str(tmp_path))
+    with SecureStation(store=store) as station:
+        publish(station)
+        pager = station.document("doc").secure.stored
+        assert pager[-1] == bytes(pager)[-1]
+        for index in (len(pager), -len(pager) - 1):
+            with pytest.raises(IndexError):
+                pager[index]
 
 
 def test_close_is_idempotent_and_releases_lock(tmp_path):
