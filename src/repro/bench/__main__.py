@@ -56,7 +56,7 @@ def main(argv) -> int:
     parser.add_argument("--format", choices=FORMATS, default="table")
     parser.add_argument(
         "--backend",
-        choices=["pure", "native", "pool", "all", "auto"],
+        choices=["pure", "native", "auto"],
         help="compute backend for the hotpath experiment",
     )
     args = parser.parse_args(argv)

@@ -1,31 +1,29 @@
-"""Pluggable execution backends for the crypto/evaluation hot paths.
+"""Compute backends: which cipher implementation the crypto paths run on.
 
 Selection: ``SecureStation(backend=...)`` / ``repro serve --backend``
-accept ``"pure"``, ``"native"``, ``"pool"``, ``"auto"`` (or ``None``),
-or an already-constructed :class:`ComputeBackend`.  Auto-detection
+accept ``"pure"``, ``"native"``, ``"auto"`` (or ``None``), or an
+already-constructed :class:`ComputeBackend`.  A backend is a
+cipher-factory choice: ``native`` swaps each cipher class for its
+C-kernel twin, ``pure`` keeps the pure-Python fast paths.  Auto-detection
 prefers the native C kernels when a compiler is (or was) available and
-falls back to pure Python otherwise; the pool backend is never
-auto-selected — fan-out across processes is a deployment decision.
+falls back to pure Python otherwise.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import Union
 
 from repro.compute.backends import (
     BackendUnavailable,
     ComputeBackend,
     NativeBackend,
-    PoolBackend,
     PureBackend,
 )
 from repro.compute.native import native_available, reset_native_cache
 
-BACKEND_NAMES = ("pure", "native", "pool")
-
 
 def auto_backend() -> ComputeBackend:
-    """Fastest always-safe in-process backend for this machine."""
+    """Fastest always-safe backend for this machine."""
     if native_available():
         return NativeBackend()
     return PureBackend()
@@ -48,32 +46,18 @@ def resolve_backend(
         return PureBackend()
     if spec == "native":
         return NativeBackend()
-    if spec == "pool":
-        return PoolBackend()
     raise ValueError(
-        "unknown compute backend %r (expected one of %s, 'auto', or a "
-        "ComputeBackend instance)" % (spec, ", ".join(BACKEND_NAMES))
+        "unknown compute backend %r (expected 'pure', 'native', 'auto', "
+        "or a ComputeBackend instance)" % (spec,)
     )
 
 
-def available_backends() -> List[str]:
-    """Names of the backends constructible on this machine."""
-    names = ["pure"]
-    if native_available():
-        names.append("native")
-    names.append("pool")
-    return names
-
-
 __all__ = [
-    "BACKEND_NAMES",
     "BackendUnavailable",
     "ComputeBackend",
     "NativeBackend",
-    "PoolBackend",
     "PureBackend",
     "auto_backend",
-    "available_backends",
     "native_available",
     "reset_native_cache",
     "resolve_backend",

@@ -112,20 +112,3 @@ class ChunkLayout:
             self.block_size,
         )
 
-
-def partition_chunks(count: int, groups: int) -> List[Tuple[int, int]]:
-    """Split ``count`` chunks into at most ``groups`` contiguous,
-    order-preserving ``(first, last_exclusive)`` ranges of near-equal
-    size — the work units of the pool compute backend (sized off the
-    chunk map so results reassemble by simple concatenation)."""
-    if count <= 0:
-        return []
-    groups = max(1, min(groups, count))
-    base, extra = divmod(count, groups)
-    ranges: List[Tuple[int, int]] = []
-    start = 0
-    for index in range(groups):
-        size = base + (1 if index < extra else 0)
-        ranges.append((start, start + size))
-        start += size
-    return ranges

@@ -126,7 +126,6 @@ class BaseScheme:
     ):
         self._key = key
         self._cipher_factory = cipher_factory
-        self.backend = backend
         if backend is not None:
             # The backend may swap the factory for an accelerated twin
             # (native kernels); output stays byte-identical.
@@ -135,25 +134,6 @@ class BaseScheme:
         self.layout = layout if layout is not None else ChunkLayout()
         if self.cipher.block_size != self.layout.block_size:
             raise ValueError("cipher block size does not match the layout")
-
-    def spec(self):
-        """A picklable description a pool worker can rebuild the scheme
-        from (:func:`scheme_from_spec`), or ``None`` when the scheme
-        cannot be reconstructed remotely (custom cipher factory, or a
-        scheme whose chunk records are not independent)."""
-        kind = _cipher_kind(self._cipher_factory)
-        if kind is None:
-            return None
-        layout = self.layout
-        return (
-            self.name,
-            self._key,
-            kind,
-            layout.chunk_size,
-            layout.fragment_size,
-            layout.block_size,
-            layout.digest_size,
-        )
 
     # -- scheme-specific hooks -----------------------------------------
     def _encrypt_chunk(self, chunk: bytes, chunk_index: int, version: int = 0) -> bytes:
@@ -186,10 +166,6 @@ class BaseScheme:
     # -- public API -------------------------------------------------------
     def protect(self, plaintext: bytes, version: int = 0) -> SecureDocument:
         """Encrypt (and digest) ``plaintext`` for storage at the terminal."""
-        if self.backend is not None:
-            document = self.backend.protect_document(self, plaintext, version)
-            if document is not None:
-                return document
         layout = self.layout
         stored = bytearray()
         count = layout.chunk_count(len(plaintext))
@@ -208,11 +184,9 @@ class BaseScheme:
     def _chunk_records(self, plaintext: bytes, indexes, version: int):
         """Yield the stored records for ``indexes``, in order.
 
-        The batching hook behind both serial :meth:`protect` and the
-        pool backend's work units: schemes whose chunk records are
-        independent may override it to vectorize across chunks (the CBC
-        schemes do), and a worker process calls it with just its
-        assigned index range.
+        The batching hook behind :meth:`protect` and
+        :meth:`record_stream`: schemes may override it to vectorize
+        across chunks (the CBC schemes do).
         """
         for chunk_index in indexes:
             yield self._chunk_record(plaintext, chunk_index, version)
@@ -570,133 +544,6 @@ class _CbcShacReader(BaseReader):
 
 
 # ----------------------------------------------------------------------
-# CBC-SHA-DOC: one CBC chain over the whole document (compat variant)
-# ----------------------------------------------------------------------
-class CbcShaDocScheme(BaseScheme):
-    """CBC-SHA with a single document-wide CBC chain.
-
-    The per-chunk CBC schemes restart the chain at every chunk, which
-    is what makes their encryption parallelizable; this variant keeps
-    the classic whole-document chain — chunk ``i``'s IV is the last
-    ciphertext block of chunk ``i-1`` — for interoperability with
-    stores written that way.  The price is inherent: encryption is
-    sequential (``spec()`` returns ``None`` so the pool backend leaves
-    it serial) and any update cascades re-encryption from the first
-    dirty chunk to the end of the document.
-    """
-
-    name = "CBC-SHA-DOC"
-
-    def _digest_input(self, plaintext_chunk: bytes, cipher_chunk: bytes) -> bytes:
-        return plaintext_chunk
-
-    def spec(self):
-        return None  # chunk records are chained, not independent
-
-    def record_stream(self, plaintext: bytes, version: int = 0):
-        count = self.layout.chunk_count(len(plaintext))
-        previous = make_iv(versioned_position(0, version))
-        return self._iter_records(plaintext, 0, count, version, previous)
-
-    def _iter_records(self, plaintext: bytes, first: int, count: int,
-                      version: int, previous: bytes):
-        """Records for chunks ``[first, count)`` given the chain state
-        ``previous`` (the IV for chunk ``first``)."""
-        layout = self.layout
-        for chunk_index in range(first, count):
-            start, end = layout.chunk_range(chunk_index, len(plaintext))
-            chunk = layout.pad_chunk(plaintext[start:end])
-            cipher_chunk = encrypt_cbc(self.cipher, chunk, previous)
-            digest = self._chunk_digest(chunk, cipher_chunk)
-            yield self._encrypt_digest(digest, chunk_index, version) + cipher_chunk
-            previous = cipher_chunk[-layout.block_size :]
-
-    def protect(self, plaintext: bytes, version: int = 0) -> SecureDocument:
-        layout = self.layout
-        stored = bytearray()
-        count = layout.chunk_count(len(plaintext))
-        previous = make_iv(versioned_position(0, version))
-        for record in self._iter_records(plaintext, 0, count, version, previous):
-            stored.extend(record)
-        return SecureDocument(self, bytes(stored), len(plaintext), version=version)
-
-    def reencrypt(
-        self,
-        document: SecureDocument,
-        new_plaintext: bytes,
-        dirty_chunks: Set[int],
-        version: int,
-    ) -> Tuple[SecureDocument, int]:
-        layout = self.layout
-        record = layout.digest_size + layout.chunk_size
-        old_count = layout.chunk_count(document.plaintext_size)
-        new_count = layout.chunk_count(len(new_plaintext))
-        keep = min(old_count, new_count)
-        dirty = {index for index in dirty_chunks if 0 <= index < new_count}
-        dirty.update(range(keep, new_count))
-        # The chain makes every chunk after the first dirty one depend
-        # on re-encrypted ciphertext, so the rewrite cascades to the
-        # end of the document.
-        first = min(dirty) if dirty else new_count
-        stored = bytearray(document.stored[: first * record])
-        versions = list(document.chunk_versions[:first])
-        if first == 0:
-            previous = make_iv(versioned_position(0, version))
-        else:
-            previous = bytes(
-                document.stored[first * record - layout.block_size : first * record]
-            )
-        for rec in self._iter_records(new_plaintext, first, new_count,
-                                      version, previous):
-            stored.extend(rec)
-            versions.append(version)
-        updated = SecureDocument(
-            self,
-            bytes(stored),
-            len(new_plaintext),
-            version=version,
-            chunk_versions=versions,
-        )
-        return updated, new_count - first
-
-    def reader(self, document: SecureDocument, meter: Optional[Meter] = None):
-        return _CbcShaDocReader(
-            self, document, meter if meter is not None else Meter()
-        )
-
-
-class _CbcShaDocReader(BaseReader):
-    def _prepare_chunk(self, chunk_index: int) -> None:
-        layout = self.layout
-        version = self.document.chunk_version(chunk_index)
-        encrypted_digest, payload = self.cache.header, self.cache.payload
-        self.meter.bytes_transferred += layout.digest_size + layout.chunk_size
-        if chunk_index == 0:
-            iv = make_iv(
-                versioned_position(0, self.document.chunk_version(0))
-            )
-        else:
-            # The chain IV is the previous chunk's last ciphertext
-            # block, fetched from the (untrusted) store; tampering with
-            # it garbles this chunk's first block and fails the digest.
-            end = chunk_index * (layout.digest_size + layout.chunk_size)
-            iv = bytes(self.document.stored[end - layout.block_size : end])
-            self.meter.bytes_transferred += layout.block_size
-        plain = decrypt_cbc(self.scheme.cipher, payload, iv)
-        self.meter.bytes_decrypted += layout.chunk_size
-        self.meter.bytes_hashed += layout.chunk_size
-        digest = self.scheme._decrypt_digest(
-            encrypted_digest, chunk_index, version
-        )
-        self.meter.bytes_decrypted += layout.digest_size
-        self.meter.digest_decrypts += 1
-        if sha1(plain) != digest:
-            raise IntegrityError("chunk %d digest mismatch" % chunk_index)
-        self.cache.plain = bytearray(plain)
-        self.cache.have_blocks = set(range(layout.blocks_per_chunk))
-
-
-# ----------------------------------------------------------------------
 # ECB-MHT: the paper's proposal
 # ----------------------------------------------------------------------
 class EcbMhtScheme(BaseScheme):
@@ -877,11 +724,10 @@ SCHEMES = {
     "ECB": EcbScheme,
     "CBC-SHA": CbcShaScheme,
     "CBC-SHAC": CbcShacScheme,
-    "CBC-SHA-DOC": CbcShaDocScheme,
     "ECB-MHT": EcbMhtScheme,
 }
 
-#: Cipher factories a pool worker knows how to rebuild by name.
+#: Cipher factories a persistent store knows how to rebuild by name.
 _CIPHER_FACTORIES = {
     "xtea": Xtea,
     "des": Des,
@@ -893,7 +739,7 @@ _CIPHER_FACTORIES = {
 def _cipher_kind(factory) -> Optional[str]:
     """The spec name of a cipher factory, or ``None`` for custom ones.
 
-    Native subclasses resolve to their base kind — the worker picks its
+    Native subclasses resolve to their base kind — the loader picks its
     own (possibly native) implementation for that kind, and all
     implementations are byte-identical by construction.
     """
@@ -913,11 +759,8 @@ def storage_spec(scheme: BaseScheme):
     provisioning key a station hands to its store (an externally
     prepared document arrives with its own encryption key).
 
-    Unlike :meth:`BaseScheme.spec` this works for CBC-SHA-DOC too —
-    record *storage* only needs the scheme reconstructible at load
-    time, not its chunk records independently re-encryptable by a pool
-    worker.  ``None`` when the cipher factory is custom (unknown by
-    name), in which case only the in-memory store can hold it.
+    ``None`` when the cipher factory is custom (unknown by name), in
+    which case only the in-memory store can hold it.
     """
     kind = _cipher_kind(scheme._cipher_factory)
     if kind is None:
@@ -934,25 +777,6 @@ def storage_spec(scheme: BaseScheme):
             layout.digest_size,
         ),
     )
-
-
-def scheme_from_spec(spec) -> BaseScheme:
-    """Rebuild a scheme from :meth:`BaseScheme.spec` (pool workers)."""
-    name, key, kind, chunk_size, fragment_size, block_size, digest_size = spec
-    factory = _CIPHER_FACTORIES[kind]
-    try:
-        from repro.compute.native import native_factory
-
-        factory = native_factory(factory)
-    except Exception:
-        pass
-    layout = ChunkLayout(
-        chunk_size=chunk_size,
-        fragment_size=fragment_size,
-        block_size=block_size,
-        digest_size=digest_size,
-    )
-    return make_scheme(name, key=key, cipher_factory=factory, layout=layout)
 
 
 def make_scheme(

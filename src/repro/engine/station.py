@@ -463,11 +463,6 @@ class UpdateResult:
         )
 
 
-# Sentinel distinguishing "argument not passed" from any real value in
-# the StationConfig/PublishOptions back-compat shims below.
-_UNSET = object()
-
-
 @dataclass(frozen=True)
 class StationConfig:
     """Every construction-time knob of a :class:`SecureStation`.
@@ -476,9 +471,10 @@ class StationConfig:
     once (or take the defaults), hand it to :func:`repro.open_station`
     or ``SecureStation(config)``, and derive variants with
     :meth:`replace` — configs are immutable, hashable and comparable,
-    so tests and topologies can share them freely.  Every field matches
-    the historical ``SecureStation.__init__`` keyword of the same name;
-    keyword overrides passed alongside a config win over its fields.
+    so tests and topologies can share them freely.  Keyword overrides
+    passed alongside a config (``SecureStation(cfg, prune=False)``) win
+    over its fields.  Every value is checked when the config is built,
+    so a bad one fails here rather than at the first request.
     """
 
     master_secret: bytes = field(default=b"station-master-secret", repr=False)
@@ -490,6 +486,22 @@ class StationConfig:
     prune: bool = True
     backend: Union[None, str, ComputeBackend] = None
     store: Optional[ChunkStore] = None
+
+    def __post_init__(self):
+        if not isinstance(self.master_secret, bytes):
+            raise TypeError(
+                "master_secret must be bytes, not %s"
+                % type(self.master_secret).__name__
+            )
+        if isinstance(self.context, str) and self.context not in CONTEXTS:
+            raise ValueError(
+                "unknown context %r (expected one of %s)"
+                % (self.context, ", ".join(sorted(CONTEXTS)))
+            )
+        if self.plan_cache_size < 1:
+            raise ValueError("plan_cache_size must be >= 1")
+        if self.view_cache_size < 1:
+            raise ValueError("view_cache_size must be >= 1")
 
     def replace(self, **changes) -> "StationConfig":
         """A copy with ``changes`` applied (frozen-dataclass idiom)."""
@@ -522,8 +534,11 @@ class PublishOptions:
 class SecureStation:
     """Multi-client SOE facade: documents, grants, plan cache, batches.
 
-    Parameters
-    ----------
+    ``SecureStation(config, **overrides)`` takes a :class:`StationConfig`
+    (defaults when omitted); keyword overrides replace its fields.
+
+    Config fields
+    -------------
     master_secret:
         Station-resident secret; derives per-document keys (when none
         is supplied at :meth:`publish`) and per-session link keys.
@@ -546,11 +561,9 @@ class SecureStation:
         effective only with ``use_skip_index``.
     backend:
         Compute backend for the crypto hot paths: ``"pure"``,
-        ``"native"``, ``"pool"``, ``"auto"``/``None`` (auto-detect), or
-        a :class:`~repro.compute.ComputeBackend` instance.  Every
-        backend produces byte-identical views; only speed differs, and
-        the pool backend degrades to the serial in-process path on any
-        worker failure.
+        ``"native"``, ``"auto"``/``None`` (auto-detect), or a
+        :class:`~repro.compute.ComputeBackend` instance.  Every backend
+        produces byte-identical views; only speed differs.
     store:
         Where published documents live: a
         :class:`~repro.store.ChunkStore` instance, or ``None`` for the
@@ -562,52 +575,10 @@ class SecureStation:
         the store it is given and closes it in :meth:`close`.
     """
 
-    def __init__(
-        self,
-        config: Union[StationConfig, bytes, None] = None,
-        context=_UNSET,
-        plan_cache_size=_UNSET,
-        use_skip_index=_UNSET,
-        view_cache_size=_UNSET,
-        cache_views=_UNSET,
-        prune=_UNSET,
-        backend=_UNSET,
-        store=_UNSET,
-        master_secret=_UNSET,
-    ):
-        # Back-compat shim: the first positional slot historically held
-        # ``master_secret`` (bytes); it now also accepts a
-        # :class:`StationConfig`.  Explicit keywords override config
-        # fields, so ``SecureStation(cfg, prune=False)`` works.
-        if isinstance(config, StationConfig):
-            base = config
-        elif config is None:
-            base = StationConfig()
-        else:
-            if master_secret is not _UNSET:
-                raise TypeError("master_secret passed twice")
-            base = StationConfig()
-            master_secret = config
-        overrides = {
-            name: value
-            for name, value in (
-                ("master_secret", master_secret),
-                ("context", context),
-                ("plan_cache_size", plan_cache_size),
-                ("use_skip_index", use_skip_index),
-                ("view_cache_size", view_cache_size),
-                ("cache_views", cache_views),
-                ("prune", prune),
-                ("backend", backend),
-                ("store", store),
-            )
-            if value is not _UNSET
-        }
-        cfg = base.replace(**overrides) if overrides else base
-        if cfg.plan_cache_size < 1:
-            raise ValueError("plan_cache_size must be >= 1")
-        if cfg.view_cache_size < 1:
-            raise ValueError("view_cache_size must be >= 1")
+    def __init__(self, config: Optional[StationConfig] = None, **overrides):
+        # ``replace`` raises TypeError on an unknown field name or a
+        # config that is not a dataclass (legacy positional bytes).
+        cfg = dataclasses.replace(config or StationConfig(), **overrides)
         self.config = cfg
         self._secret = cfg.master_secret
         self.platform = (
@@ -656,21 +627,15 @@ class SecureStation:
         self,
         document_id: str,
         document: Union[str, Node, PreparedDocument],
-        options: Union[PublishOptions, str, None] = None,
-        key=_UNSET,
-        layout=_UNSET,
-        version_floor=_UNSET,
-        scheme=_UNSET,
-        index=_UNSET,
+        options: Optional[PublishOptions] = None,
+        **overrides,
     ) -> PreparedDocument:
         """Register a document: parse/encode/encrypt it (publisher
         pipeline) unless an already-:class:`PreparedDocument` is given.
 
-        ``options`` is a :class:`PublishOptions`; the historical
-        keywords (``scheme``, ``key``, ``layout``, ``version_floor``,
-        plus the new ``index``) still work and override its fields, and
-        a plain string in the third positional slot is read as the
-        legacy ``scheme`` argument.  ``index=True`` builds (or, for a
+        ``options`` is a :class:`PublishOptions`; keyword overrides
+        (``scheme``, ``key``, ``layout``, ``version_floor``, ``index``)
+        replace its fields.  ``index=True`` builds (or, for a
         :class:`PreparedDocument` arriving without one, backfills) the
         structural pre/post index served by the indexed query path.
 
@@ -695,24 +660,7 @@ class SecureStation:
         version chain — and with it replay protection — survives the
         move to the new node.
         """
-        if isinstance(options, str):
-            if scheme is not _UNSET:
-                raise TypeError("scheme passed twice")
-            scheme = options
-            options = None
-        base = options if options is not None else PublishOptions()
-        option_overrides = {
-            name: value
-            for name, value in (
-                ("scheme", scheme),
-                ("key", key),
-                ("layout", layout),
-                ("version_floor", version_floor),
-                ("index", index),
-            )
-            if value is not _UNSET
-        }
-        opts = base.replace(**option_overrides) if option_overrides else base
+        opts = dataclasses.replace(options or PublishOptions(), **overrides)
         scheme, key, layout = opts.scheme, opts.key, opts.layout
         version_floor = opts.version_floor
         if key is None:
@@ -1204,8 +1152,8 @@ class SecureStation:
                 if getattr(meter, field)
             }
             if name == "stream-decrypt":
-                # The compute-backend dispatch decision rides on the
-                # decrypt span: which strategy served the crypto work.
+                # The decrypt span names the cipher implementation
+                # that served the crypto work.
                 attrs["backend"] = self.backend.name
             tracer.record(
                 trace,
@@ -1375,19 +1323,9 @@ class SecureStation:
     ) -> List[Event]:
         """Decrypt + verify + decode the full store into an event list,
         charging every primitive cost to ``meter`` exactly once."""
-        # A pool backend may decrypt + verify the whole store across
-        # workers in one shot (meter counts fold back in); it declines
-        # (None) for small documents or unsupported schemes, and any
-        # worker failure also lands here — the serial path below is the
-        # universal fallback, so a dying pool never fails a batch.
-        plain = self.backend.decrypt_document(prepared.scheme, prepared.secure, meter)
-        if plain is not None:
-            data = plain
-        else:
-            reader = prepared.scheme.reader(prepared.secure, meter)
-            data = SecureBytes(reader)
+        reader = prepared.scheme.reader(prepared.secure, meter)
         navigator = SkipIndexNavigator(
-            data,
+            SecureBytes(reader),
             dictionary=prepared.encoded.dictionary,
             start_offset=prepared.encoded.root_offset,
             meter=meter,
@@ -1401,9 +1339,8 @@ class SecureStation:
             events.append(Event(item[0], item[1]))
 
     def close(self) -> None:
-        """Release the compute backend (pool workers, if any) and the
-        document store (log/manifest handles, mmaps).  Idempotent —
-        every owner in a teardown path may call it."""
+        """Release the document store (log/manifest handles, mmaps).
+        Idempotent — every owner in a teardown path may call it."""
         with self._lock:
             if self._closed:
                 return
@@ -1411,7 +1348,6 @@ class SecureStation:
             # Cached views are served by nobody once closed; drop them
             # now rather than whenever the last reference goes.
             self._views.clear()
-        self.backend.close()
         self.store.close()
 
     @property

@@ -141,7 +141,6 @@ def _backend_rows(
                 _latency_cell(latency, "p95"),
                 _latency_cell(latency, "p99"),
                 _cache_rate(entry.get("station")),
-                str(backend_info.get("fallbacks", "-")),
                 "-" if native is None else ("yes" if native else "no"),
                 _store_cell(entry.get("store")),
             ]
@@ -158,7 +157,6 @@ _BACKEND_HEADERS = (
     "p95ms",
     "p99ms",
     "cache%",
-    "fallbacks",
     "native",
     "store",
 )
@@ -231,7 +229,6 @@ def render_top(
                     "updates",
                     "cache%",
                     "views",
-                    "fallbacks",
                     "native",
                     "store",
                     "slow",
@@ -243,7 +240,6 @@ def render_top(
                         str(int(server.get("updates") or 0)),
                         _cache_rate(station),
                         str(body.get("cached_views", "-")),
-                        str(backend_info.get("fallbacks", "-")),
                         "-" if native is None else ("yes" if native else "no"),
                         _store_cell(body.get("store")),
                         str(int(obs.get("slow_queries") or 0)),

@@ -142,10 +142,14 @@ class Frame:
         return TYPE_NAMES.get(self.type, "0x%02x" % self.type)
 
     def json(self) -> Dict[str, Any]:
-        """Decode the payload as a JSON object."""
+        """Decode the payload as a JSON object.
+
+        Any payload a peer can send maps to :class:`ProtocolError`,
+        including nesting deep enough to exhaust the recursion limit.
+        """
         try:
             obj = json.loads(bytes(self.payload).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise ProtocolError(
                 "%s payload is not valid JSON: %s" % (self.type_name, exc)
             )

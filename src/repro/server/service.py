@@ -318,13 +318,14 @@ class StationServer:
             await self._send_error(writer, conn, E_PROTOCOL, "duplicate HELLO")
             return False
         try:
-            subject = frame.json()["subject"]
+            hello = frame.json()
+            subject = hello["subject"]
         except (ProtocolError, KeyError):
             await self._send_error(
                 writer, conn, E_BAD_FRAME, "HELLO payload must carry a subject"
             )
             return False
-        conn.gateway = bool(frame.json().get("gateway")) and self.allow_forward
+        conn.gateway = bool(hello.get("gateway")) and self.allow_forward
         # The station is internally thread-safe, but connect still runs
         # off-loop: key derivation must never stall frame dispatch.
         loop = asyncio.get_running_loop()
@@ -902,9 +903,8 @@ class StationServer:
             "server": dict(self.server_stats),
             "meter": {k: v for k, v in merged.as_dict().items() if v},
             # Compute-backend health on the wire (not just station-
-            # local): pool fallbacks and native-kernel availability are
-            # how a gateway or `repro top` spots silent serial
-            # degradation on one node.
+            # local): native-kernel availability is how a gateway or
+            # `repro top` spots a node silently on the pure path.
             "backend": self.station.backend.describe(),
             # Storage-layer health: page-cache hit rate, log growth and
             # recovery counters of the station's chunk store (a memory
@@ -963,12 +963,6 @@ class StationServer:
             1 if store.get("persistent") else 0
         )
         backend = self.station.backend.describe()
-        registry.gauge("repro_backend_fallbacks").set(
-            int(backend.get("fallbacks") or 0)
-        )
-        registry.gauge("repro_backend_batches").set(
-            int(backend.get("batches") or 0)
-        )
         registry.gauge("repro_native_kernels").set(
             1 if backend.get("native_kernels") else 0
         )

@@ -916,11 +916,10 @@ class LogStore(ChunkStore):
     ) -> PreparedDocument:
         """Commit a copy-on-write update: append only the changed records.
 
-        The changed set is derived from the per-chunk version stamps,
-        not from the caller's dirty estimate — a chained scheme
-        (CBC-SHA-DOC) cascades re-encryption past the dirtied chunks,
-        and every cascaded record carries the bumped version, so the
-        diff is exact.
+        The changed set is derived from the per-chunk version stamps
+        (every re-encrypted record carries the bumped version), plus
+        the caller's ``dirty_chunks``, so the diff is exact whatever
+        the scheme re-encrypted.
         """
         with self._lock:
             if self._closed:

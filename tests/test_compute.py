@@ -1,31 +1,26 @@
 """Compute-backend tests: kernel parity, selection, degradation, fuzz.
 
-The pure-Python SWAR paths are the oracle; the native C kernels and
-the process-pool backend must be byte-identical to them on every
-scheme, and every failure mode (no compiler, crashed worker) must
-degrade to the pure path without failing a request.
+The pure-Python SWAR paths are the oracle; the native C kernels must
+be byte-identical to them on every scheme, and a machine without a
+compiler must resolve ``auto`` to the pure path.
 """
 
-import os
 import random
 
 import pytest
 
-from repro import Policy, make_policy
+from repro import Policy
 from repro.compute import (
     BackendUnavailable,
     NativeBackend,
-    PoolBackend,
     PureBackend,
     auto_backend,
-    available_backends,
     native_available,
     reset_native_cache,
     resolve_backend,
 )
 from repro.compute.backends import ComputeBackend
 from repro.compute.native import NO_NATIVE_ENV
-from repro.compute.worker import POOL_CRASH_ENV, Window
 from repro.crypto import modes
 from repro.crypto.des import Des, TripleDes
 from repro.crypto.integrity import SCHEMES, make_scheme
@@ -150,13 +145,11 @@ def test_position_mask_cache_is_bounded():
 
 def test_resolve_backend_names_and_passthrough():
     assert isinstance(resolve_backend("pure"), PureBackend)
-    pool = resolve_backend("pool")
-    assert isinstance(pool, PoolBackend)
-    pool.close()
     instance = PureBackend()
     assert resolve_backend(instance) is instance
-    with pytest.raises(ValueError):
-        resolve_backend("simd")
+    for unknown in ("simd", "pool"):
+        with pytest.raises(ValueError):
+            resolve_backend(unknown)
 
 
 def test_auto_prefers_native_when_available():
@@ -176,7 +169,6 @@ def test_no_native_env_forces_pure(monkeypatch):
     reset_native_cache()
     try:
         assert not native_available()
-        assert "native" not in available_backends()
         assert isinstance(auto_backend(), PureBackend)
         assert isinstance(resolve_backend("auto"), PureBackend)
         with pytest.raises(BackendUnavailable):
@@ -186,168 +178,19 @@ def test_no_native_env_forces_pure(monkeypatch):
         reset_native_cache()
 
 
-def test_base_backend_declines_document_hooks():
+def test_backend_describe_reports_kernels():
+    """A backend is only a cipher-factory choice: the base contract
+    keeps the factory as-is and describes itself for STATS."""
     backend = ComputeBackend()
-    scheme = make_scheme("CBC-SHAC")
-    assert backend.protect_document(scheme, b"x" * 4096, 0) is None
-    assert backend.decrypt_document(scheme, object(), Meter()) is None
-    assert backend.describe()["name"] == "base"
+    assert backend.cipher_factory(Xtea) is Xtea
+    assert backend.describe() == {
+        "name": "base",
+        "native_kernels": native_available(),
+    }
 
 
 # ---------------------------------------------------------------------------
-# Pool backend: parity, thresholds, crash fallback
-# ---------------------------------------------------------------------------
-
-
-@pytest.fixture
-def pool():
-    backend = PoolBackend(workers=2)
-    yield backend
-    backend.close()
-
-
-def test_pool_protect_and_decrypt_match_serial(pool):
-    rng = random.Random(5)
-    plaintext = random_bytes(rng, 50_000)  # ~25 chunks: crosses min_chunks
-    scheme = make_scheme("CBC-SHAC", backend=pool)
-    serial = make_scheme("CBC-SHAC")
-
-    document = pool.protect_document(scheme, plaintext, 0)
-    assert document is not None, "pool declined a fan-out-sized document"
-    assert document.stored == serial.protect(plaintext).stored
-
-    meter = Meter()
-    plain = pool.decrypt_document(scheme, document, meter)
-    assert plain == plaintext
-    assert meter.bytes_decrypted > 0  # worker meters folded into ours
-    assert pool.stats["batches"] == 2
-    assert pool.stats["fallbacks"] == 0
-
-
-@pytest.mark.parametrize("name", ["ECB", "ECB-MHT", "CBC-SHA", "CBC-SHAC"])
-def test_pool_units_ship_only_their_range(pool, monkeypatch, name):
-    """Each work unit carries just its chunk range's bytes, and the
-    folded meters equal the serial reader's, field by field."""
-    rng = random.Random(8)
-    plaintext = random_bytes(rng, 50_000)
-    scheme = make_scheme(name, backend=pool)
-    shipped = []
-    executor = pool._pool()
-    submit = executor.submit
-
-    def recording_submit(fn, spec, window, *args):
-        shipped.append(len(window.data))
-        return submit(fn, spec, window, *args)
-
-    monkeypatch.setattr(executor, "submit", recording_submit)
-    document = pool.protect_document(scheme, plaintext, 3)
-    assert document is not None
-    assert document.stored == make_scheme(name).protect(plaintext, 3).stored
-    assert sum(shipped) == len(plaintext)
-
-    del shipped[:]
-    meter = Meter()
-    assert pool.decrypt_document(scheme, document, meter) == plaintext
-    assert sum(shipped) == len(document.stored)
-    serial = Meter()
-    make_scheme(name).reader(document, serial).read(0, len(plaintext))
-    assert meter.as_dict() == serial.as_dict()
-
-
-def test_window_slices_by_absolute_offset():
-    window = Window(b"cdef", 2, 10)
-    assert len(window) == 10
-    assert window[2:4] == b"cd"
-    assert window[3:6] == b"def"
-    assert window[7:7] == b""
-    with pytest.raises(IndexError):
-        window[1:3]  # starts before the shipped bytes
-    with pytest.raises(IndexError):
-        window[4:8]  # runs past them
-    with pytest.raises(TypeError):
-        window[3]
-
-
-def test_pool_declines_small_documents(pool):
-    scheme = make_scheme("CBC-SHAC", backend=pool)
-    assert pool.protect_document(scheme, b"tiny" * 100, 0) is None
-    assert pool.stats["batches"] == 0
-
-
-def test_pool_declines_unpicklable_scheme(pool):
-    """CBC-SHA-DOC chains the whole document, so it has no picklable
-    spec and must stay on the serial path."""
-    scheme = make_scheme("CBC-SHA-DOC", backend=pool)
-    assert scheme.spec() is None
-    assert pool.protect_document(scheme, b"x" * 50_000, 0) is None
-
-
-def test_pool_crash_falls_back_and_recovers(pool, monkeypatch):
-    rng = random.Random(6)
-    plaintext = random_bytes(rng, 50_000)
-    scheme = make_scheme("CBC-SHAC", backend=pool)
-
-    monkeypatch.setenv(POOL_CRASH_ENV, "1")
-    assert pool.protect_document(scheme, plaintext, 0) is None
-    assert pool.stats["fallbacks"] == 1
-
-    # Clearing the crash switch, the (lazily re-forked) pool serves again.
-    monkeypatch.delenv(POOL_CRASH_ENV)
-    document = pool.protect_document(scheme, plaintext, 0)
-    assert document is not None
-    assert document.stored == make_scheme("CBC-SHAC").protect(plaintext).stored
-
-
-def test_station_survives_pool_crash(monkeypatch):
-    """A pool crash mid-batch must not fail the request: the station's
-    ``evaluate_many`` falls back to the serial reader and serves the
-    identical views with zero failed subjects."""
-    from repro.engine import SecureStation
-    from repro.soe.session import prepare_document
-    from repro.xmlkit.parser import parse_document
-    from repro.xmlkit.serializer import serialize_events
-
-    # ~6 encoded bytes per folder: 4000 folders crosses the pool's
-    # 8-chunk fan-out threshold with margin.
-    document = "<clinic>" + "<folder><id>1</id></folder>" * 4000 + "</clinic>"
-    tree = parse_document(document)
-    policies = [
-        make_policy([("+", "//folder")], subject="alice"),
-        make_policy([("+", "//folder"), ("-", "//id")], subject="bob"),
-    ]
-    prepared = prepare_document(tree, scheme="CBC-SHAC")
-
-    oracle = SecureStation(cache_views=False, backend="pure")
-    oracle.publish("doc", prepared)
-    expected = oracle.evaluate_many("doc", policies)
-
-    station = SecureStation(cache_views=False, backend=PoolBackend(workers=2))
-    station.publish("doc", prepared)
-    healthy = station.evaluate_many("doc", policies)
-    assert station.backend.stats["batches"] >= 1  # the pool decoded it
-
-    # The crash switch is read per task inside the workers, which
-    # inherit the environment at fork time — recycle the pool so the
-    # next batch forks workers that see it.
-    station.backend.close()
-    monkeypatch.setenv(POOL_CRASH_ENV, "1")
-    try:
-        crashed = station.evaluate_many("doc", policies)
-    finally:
-        monkeypatch.delenv(POOL_CRASH_ENV)
-    assert station.backend.stats["fallbacks"] >= 1
-
-    for batch in (healthy, crashed):
-        assert not batch.failures
-        for policy in policies:
-            assert serialize_events(
-                batch[policy.subject].events
-            ) == serialize_events(expected[policy.subject].events)
-    station.close()
-
-
-# ---------------------------------------------------------------------------
-# Differential fuzz: pure == native == pool, every scheme
+# Differential fuzz: pure == native, every scheme
 # ---------------------------------------------------------------------------
 
 
@@ -355,7 +198,6 @@ def _backends_under_test():
     backends = [PureBackend()]
     if native_available():
         backends.append(NativeBackend())
-    backends.append(PoolBackend(workers=2))
     return backends
 
 
@@ -366,35 +208,17 @@ def test_fuzz_backends_byte_identical(name):
     oracle exactly (the acceptance bar for the whole backend layer)."""
     rng = random.Random(hash(name) & 0xFFFF)
     backends = _backends_under_test()
-    try:
-        for _ in range(3):
-            plaintext = random_bytes(rng, rng.choice([0, 37, 4096, 30_000]))
-            version = rng.randrange(4)
-            oracle = make_scheme(name)
-            expected = oracle.protect(plaintext, version=version)
-            for backend in backends:
-                scheme = make_scheme(name, backend=backend)
-                document = None
-                if isinstance(backend, PoolBackend):
-                    document = backend.protect_document(
-                        scheme, plaintext, version
-                    )
-                if document is None:
-                    document = scheme.protect(plaintext, version=version)
-                assert document.stored == expected.stored, (name, backend.name)
-                recovered = None
-                if isinstance(backend, PoolBackend):
-                    recovered = backend.decrypt_document(
-                        scheme, document, Meter()
-                    )
-                if recovered is None:
-                    recovered = scheme.reader(document, Meter()).read(
-                        0, len(plaintext)
-                    )
-                assert recovered == plaintext, (name, backend.name)
-    finally:
+    for _ in range(3):
+        plaintext = random_bytes(rng, rng.choice([0, 37, 4096, 30_000]))
+        version = rng.randrange(4)
+        oracle = make_scheme(name)
+        expected = oracle.protect(plaintext, version=version)
         for backend in backends:
-            backend.close()
+            scheme = make_scheme(name, backend=backend)
+            document = scheme.protect(plaintext, version=version)
+            assert document.stored == expected.stored, (name, backend.name)
+            recovered = scheme.reader(document, Meter()).read(0, len(plaintext))
+            assert recovered == plaintext, (name, backend.name)
 
 
 @pytest.mark.parametrize("name", ["ECB", "CBC-SHAC"])

@@ -610,14 +610,14 @@ GATEWAY_BODY = {
             "requests": 6,
             "latency_ms": {"p50": 4.0, "p95": 8.0, "p99": 9.0},
             "station": {"view_hits": 3, "view_misses": 1},
-            "backend": {"fallbacks": 0, "native_kernels": True},
+            "backend": {"name": "native", "native_kernels": True},
         },
         "node1": {
             "alive": False,
             "requests": 4,
             "latency_ms": {"p50": 5.0, "p95": 9.0, "p99": 12.0},
             "station": {"view_hits": 0, "view_misses": 4},
-            "backend": {"fallbacks": 2, "native_kernels": False},
+            "backend": {"name": "pure", "native_kernels": False},
         },
     },
 }
@@ -672,7 +672,7 @@ class TestDashboard:
             "server": {"queries": 8, "updates": 1},
             "station": {"view_hits": 6, "view_misses": 2},
             "cached_views": 2,
-            "backend": {"fallbacks": 0, "native_kernels": True},
+            "backend": {"name": "native", "native_kernels": True},
             "observability": {"slow_queries": 0},
         }
         frame = render_top(body, None, None, address="st:1")

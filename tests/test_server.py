@@ -119,28 +119,36 @@ class TestProtocol:
             encode_frame(CHUNK, 1 << 32)
 
     def test_fuzz_round_trip_random_splits(self):
+        # Two streams: all version-1 headers, then one where each frame
+        # draws trace 0 (v1 header) or a nonzero 64-bit id (v2 header),
+        # so split points land inside both header sizes.
         rng = random.Random(1234)
         types = sorted(protocol.TYPE_NAMES)
-        frames = [
-            Frame(
-                rng.choice(types),
-                rng.randrange(0, 1 << 32),
-                rng.randbytes(rng.randrange(0, 300)),
+        for mixed in (False, True):
+            frames = [
+                Frame(
+                    rng.choice(types),
+                    rng.randrange(0, 1 << 32),
+                    rng.randbytes(rng.randrange(0, 300)),
+                    trace=rng.choice((0, rng.randrange(1, 1 << 64))) if mixed else 0,
+                )
+                for _ in range(200)
+            ]
+            if mixed:
+                assert {f.trace == 0 for f in frames} == {True, False}
+            blob = b"".join(
+                encode_frame(f.type, f.session, f.payload, trace=f.trace)
+                for f in frames
             )
-            for _ in range(200)
-        ]
-        blob = b"".join(
-            encode_frame(f.type, f.session, f.payload) for f in frames
-        )
-        decoder = FrameDecoder()
-        decoded = []
-        position = 0
-        while position < len(blob):
-            step = rng.randrange(1, 40)
-            decoded += decoder.feed(blob[position : position + step])
-            position += step
-        assert decoded == frames
-        assert decoder.pending_bytes == 0
+            decoder = FrameDecoder()
+            decoded = []
+            position = 0
+            while position < len(blob):
+                step = rng.randrange(1, 40)
+                decoded += decoder.feed(blob[position : position + step])
+                position += step
+            assert decoded == frames
+            assert decoder.pending_bytes == 0
 
     def test_fuzz_corrupted_headers_never_desync_silently(self):
         # Corrupting magic/version/type must either raise ProtocolError
@@ -471,6 +479,27 @@ class TestSessionLimits:
                     break
                 frames = decoder.feed(data)
         assert frames and frames[0].json()["code"] == "bad-frame"
+
+    def test_deeply_nested_hello_gets_bad_frame_error(self, live_server):
+        import socket
+
+        server, host, port, subjects = live_server
+        # Nesting past the recursion limit: json.loads raises
+        # RecursionError, which must become a bad-frame reply.
+        payload = b'{"subject":' + b"[" * 100_000
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(encode_frame(HELLO, 0, payload))
+            decoder = FrameDecoder()
+            frames = []
+            while not frames:
+                data = sock.recv(65536)
+                if not data:
+                    break
+                frames = decoder.feed(data)
+        assert frames and frames[0].json()["code"] == "bad-frame"
+        # The server keeps serving other clients.
+        with RemoteSession(host, port, subjects[0]) as session:
+            assert session.evaluate("hospital").data
 
 
 # ----------------------------------------------------------------------

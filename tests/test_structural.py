@@ -487,18 +487,43 @@ class TestUnifiedAPI:
         assert station.config.prune is True
 
     def test_legacy_positional_master_secret(self):
-        station = SecureStation(b"legacy-secret", context="sw-lan")
-        assert station._secret == b"legacy-secret"
-        assert station.platform is not None
+        # The secret is a config field; positional bytes are refused.
         with pytest.raises(TypeError):
-            SecureStation(b"one", master_secret=b"two")
+            SecureStation(b"legacy-secret")
+        with pytest.raises(TypeError):
+            SecureStation(b"legacy-secret", context="sw-lan")
+        with pytest.raises(TypeError):
+            SecureStation(master_secret=b"one", bogus=1)
+        station = SecureStation(master_secret=b"legacy-secret", context="sw-lan")
+        assert station._secret == b"legacy-secret"
 
     def test_legacy_publish_scheme_string(self):
+        # The scheme is a PublishOptions field; a bare string is refused.
         station = SecureStation()
-        station.publish("d", "<a>1</a>", "ECB")
-        assert station.document("d").scheme.name == "ECB"
         with pytest.raises(TypeError):
-            station.publish("e", "<a>1</a>", "ECB", scheme="CBC-SHAC")
+            station.publish("d", "<a>1</a>", "ECB")
+        with pytest.raises(TypeError):
+            station.publish("d", "<a>1</a>", bogus=True)
+        assert "d" not in station.store
+        station.publish("d", "<a>1</a>", scheme="ECB")
+        assert station.document("d").scheme.name == "ECB"
+
+    def test_station_config_rejects_unknown_context(self):
+        with pytest.raises(ValueError, match="unknown context 'bogus'"):
+            StationConfig(context="bogus")
+        with pytest.raises(ValueError):
+            open_station(StationConfig(), context="bogus")
+
+    def test_station_config_rejects_non_bytes_master_secret(self):
+        with pytest.raises(TypeError, match="master_secret must be bytes"):
+            StationConfig(master_secret="x")
+        with pytest.raises(TypeError):
+            SecureStation(master_secret="x")
+
+    def test_station_config_validates_cache_sizes(self):
+        for field in ("plan_cache_size", "view_cache_size"):
+            with pytest.raises(ValueError, match=field):
+                StationConfig(**{field: 0})
 
     def test_publish_options_value(self):
         options = PublishOptions(scheme="CBC-SHAC", index=True)
