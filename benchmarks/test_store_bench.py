@@ -25,8 +25,9 @@ import pathlib
 import random
 import time
 
-from repro.engine import DocumentPipeline
+from repro.soe.session import prepare_document
 from repro.store import LogStore
+from repro.xmlkit.parser import parse_document
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -44,11 +45,7 @@ SOURCE = "<doc><name>entry</name><val>42</val></doc>"
 
 
 def test_store_corpus_bench(tmp_path):
-    prepared = (
-        DocumentPipeline.publisher(scheme="ECB", key=KEY)
-        .run(source=SOURCE)
-        .prepared
-    )
+    prepared = prepare_document(parse_document(SOURCE), "ECB", KEY)
     record_bytes = prepared.secure.stored_size()
     sample = min(SAMPLE, DOCS)
 

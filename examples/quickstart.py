@@ -10,7 +10,8 @@ Run with::
     python examples/quickstart.py
 """
 
-from repro import AccessRule, DocumentPipeline, Policy, authorized_view, compile_policy
+from repro import AccessRule, Policy, authorized_view, compile_policy
+from repro.soe.session import SecureSession, prepare_document
 from repro.xmlkit import parse_document, serialize_events
 
 DOCUMENT = """
@@ -53,45 +54,34 @@ def main() -> None:
     print("  " + serialize_events(view))
 
     # 2. The same through the secure pipeline of the paper -------------
-    # publisher half: parse -> Skip-index encode -> encrypt/digest
-    prepared = DocumentPipeline.publisher(scheme="ECB-MHT").run(
-        tree=document
-    ).prepared
+    # publisher half: Skip-index encode -> encrypt/digest
+    prepared = prepare_document(document, scheme="ECB-MHT")
     print(
         "\nEncoded size: %d bytes, stored (encrypted+digests): %d bytes"
         % (prepared.encoded_size, prepared.stored_size)
     )
     # SOE half: stream-decrypt -> evaluate (with the same plan)
-    ctx = DocumentPipeline.consumer(plan, context="smartcard").run(
-        prepared=prepared
-    )
-    assert ctx.view == view, "secure pipeline must agree"
+    result = SecureSession(prepared, plan, context="smartcard").run()
+    assert result.events == view, "secure pipeline must agree"
     print("Secure SOE session produced the identical view.")
     print(
         "Simulated smart-card time: %.4f s "
         "(communication %.4f, decryption %.4f, access control %.4f, "
         "integrity %.4f)"
         % (
-            ctx.breakdown.total,
-            ctx.breakdown.communication,
-            ctx.breakdown.decryption,
-            ctx.breakdown.access_control,
-            ctx.breakdown.integrity,
+            result.breakdown.total,
+            result.breakdown.communication,
+            result.breakdown.decryption,
+            result.breakdown.access_control,
+            result.breakdown.integrity,
         )
     )
     print(
         "Bytes transferred into the SOE: %d of %d stored (%.0f%% skipped)"
         % (
-            ctx.meter.bytes_transferred,
+            result.meter.bytes_transferred,
             prepared.stored_size,
-            100.0 * ctx.meter.skipped_bytes / max(1, prepared.encoded_size),
-        )
-    )
-    print(
-        "Pipeline stages: "
-        + ", ".join(
-            "%s %.1f ms" % (name, 1000.0 * seconds)
-            for name, seconds in ctx.stage_seconds.items()
+            100.0 * result.meter.skipped_bytes / max(1, prepared.encoded_size),
         )
     )
 

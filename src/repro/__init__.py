@@ -20,9 +20,10 @@ Quickstart::
     view = authorized_view(doc, plan)
 
 The :mod:`repro.engine` layer holds the production-facing machinery:
-compiled :class:`~repro.engine.plans.PolicyPlan` objects, the
-:class:`~repro.engine.pipeline.DocumentPipeline` stages and the
-multi-client :class:`~repro.engine.station.SecureStation` server.
+compiled :class:`~repro.engine.plans.PolicyPlan` objects and the
+multi-client :class:`~repro.engine.station.SecureStation` server.  The
+paper's two halves of Fig. 2 live in :mod:`repro.soe.session`:
+``prepare_document`` (the publisher) and ``SecureSession`` (the SOE).
 
 See DESIGN.md for the system inventory (with the layer diagram) and
 EXPERIMENTS.md for the paper-versus-measured record of every table and
@@ -33,7 +34,6 @@ from typing import List, Optional, Union
 
 from repro.accesscontrol.evaluator import StreamingEvaluator, evaluate_events
 from repro.engine import (
-    DocumentPipeline,
     PolicyPlan,
     PublishOptions,
     QueryPlan,
@@ -79,7 +79,6 @@ __all__ = [
     "QueryPlan",
     "compile_policy",
     "compile_query",
-    "DocumentPipeline",
     "SecureStation",
     "StationConfig",
     "PublishOptions",

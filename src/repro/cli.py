@@ -40,12 +40,13 @@ from typing import List, Optional
 from repro.accesscontrol.model import AccessRule, Policy
 from repro.crypto.chunks import ChunkLayout
 from repro.crypto.integrity import SCHEMES, SecureDocument, make_scheme
-from repro.engine import DocumentPipeline, compile_policy
+from repro.engine import compile_policy
 from repro.skipindex.variants import encoding_report
 from repro.soe.costmodel import CONTEXTS
-from repro.soe.session import PreparedDocument, SecureSession
+from repro.soe.session import PreparedDocument, SecureSession, prepare_document
 from repro.skipindex.decoder import decode_document, EncodedDocument
 from repro.skipindex.decoder import read_header
+from repro.skipindex.encoder import encode_document
 from repro.xmlkit.parser import parse_document
 from repro.xmlkit.serializer import serialize_events
 
@@ -98,19 +99,15 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    from repro.engine import EncodeStage, ParseStage
-
-    with open(args.document, "r", encoding="utf-8") as handle:
-        source = handle.read()
-    ctx = DocumentPipeline([ParseStage(), EncodeStage()]).run(source=source)
-    encoded = ctx.encoded
+    tree = _load_xml(args.document)
+    encoded = encode_document(tree)
     with open(args.output, "wb") as handle:
         handle.write(encoded.data)
     print(
         "encoded %d elements into %d bytes (%d dictionary entries, "
         "%d fixpoint rounds)"
         % (
-            ctx.tree.count_elements(),
+            tree.count_elements(),
             len(encoded.data),
             len(encoded.dictionary),
             encoded.stats.fixpoint_rounds,
@@ -136,10 +133,7 @@ def cmd_decode(args) -> int:
 
 def cmd_protect(args) -> int:
     key = _parse_key(args.key)
-    with open(args.document, "r", encoding="utf-8") as handle:
-        source = handle.read()
-    pipeline = DocumentPipeline.publisher(scheme=args.scheme, key=key)
-    prepared = pipeline.run(source=source).prepared
+    prepared = prepare_document(_load_xml(args.document), args.scheme, key)
     secure = prepared.secure
     header = json.dumps(
         {

@@ -83,6 +83,7 @@ from repro.server.protocol import (
     FrameDecoder,
     ProtocolError,
     encode_frame_parts,
+    hello_payload,
     json_frame,
 )
 
@@ -713,13 +714,13 @@ class ClusterGateway:
         if conn.subject is not None:
             await self._send_error(writer, conn, E_PROTOCOL, "duplicate HELLO")
             return False
-        try:
-            subject = str(frame.json()["subject"])
-        except (ProtocolError, KeyError):
+        hello = hello_payload(frame)
+        if hello is None:
             await self._send_error(
                 writer, conn, E_BAD_FRAME, "HELLO payload must carry a subject"
             )
             return False
+        subject = hello["subject"]
         conn.subject = subject
         self._session_counter += 1
         conn.session_id = self._session_counter

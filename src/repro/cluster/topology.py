@@ -29,13 +29,13 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.accesscontrol.model import Policy
 from repro.cluster.gateway import ClusterGateway
 from repro.cluster.ring import HashRing
-from repro.engine.pipeline import DocumentPipeline
 from repro.engine.station import SecureStation, StationConfig, StationError
 from repro.server.client import RemoteSession
 from repro.server.service import ServerThread, StationServer
-from repro.soe.session import PreparedDocument
+from repro.soe.session import PreparedDocument, prepare_document
 from repro.store import open_store
 from repro.xmlkit.dom import Node
+from repro.xmlkit.parser import parse_document
 
 
 class ClusterError(RuntimeError):
@@ -228,13 +228,10 @@ class StationCluster:
         if isinstance(document, PreparedDocument):
             prepared = document
         else:
-            pipeline = DocumentPipeline.publisher(
-                scheme=scheme, key=self._derive("document|%s" % document_id)
+            tree = parse_document(document) if isinstance(document, str) else document
+            prepared = prepare_document(
+                tree, scheme, self._derive("document|%s" % document_id)
             )
-            if isinstance(document, Node):
-                prepared = pipeline.run(tree=document).prepared
-            else:
-                prepared = pipeline.run(source=document).prepared
         placed = self._ring.preference(document_id, self.replicas)
         for name in placed:
             station = self.nodes[name].station

@@ -1,4 +1,4 @@
-"""Engine layer: compiled plans, the unified pipeline, the station.
+"""Engine layer: compiled plans and the multi-client station.
 
 This package is the reusable, cache-backed core the rest of the
 codebase routes through (see ``DESIGN.md`` for the layer diagram):
@@ -7,32 +7,17 @@ codebase routes through (see ``DESIGN.md`` for the layer diagram):
   :class:`PolicyPlan` / :class:`QueryPlan`: provisioning-time XPath
   parsing and automaton compilation, done once and reused across
   documents and requests;
-* :mod:`repro.engine.pipeline` — :class:`DocumentPipeline`: the
-  parse -> encode -> encrypt -> stream-decrypt -> evaluate ->
-  integrity-check -> serialize dataflow as composable, metered stages;
 * :mod:`repro.engine.station` — :class:`SecureStation`: a multi-client
-  SOE facade with an LRU plan cache, per-session key material and
-  batched :meth:`~SecureStation.evaluate_many`.
+  SOE facade with an LRU plan cache, per-session key material and a
+  version-keyed view cache.  It publishes through one path (encode,
+  then the store's ``put_stream``) and evaluates a cache miss with the
+  paper's cold oracle, :class:`~repro.soe.session.SecureSession`.
 
 Layering rule: engine modules may import every lower layer (xpath,
 accesscontrol, skipindex, crypto, soe); lower layers import the engine
 only lazily inside functions, so there are no import cycles.
 """
 
-from repro.engine.pipeline import (
-    DecryptStreamStage,
-    DocumentPipeline,
-    EncodeStage,
-    EncryptStage,
-    EvaluateStage,
-    FunctionStage,
-    IntegrityAuditStage,
-    ParseStage,
-    PipelineContext,
-    PipelineError,
-    SerializeStage,
-    Stage,
-)
 from repro.engine.plans import (
     PolicyPlan,
     QueryPlan,
@@ -41,14 +26,12 @@ from repro.engine.plans import (
     policy_digest,
 )
 from repro.engine.station import (
-    BatchResult,
     PublishOptions,
     SecureStation,
     StationConfig,
     StationError,
     StationSession,
     StationStats,
-    SubjectFailure,
     UpdateResult,
     ViewStream,
     open_sealed,
@@ -62,19 +45,6 @@ __all__ = [
     "compile_policy",
     "compile_query",
     "policy_digest",
-    # pipeline
-    "DocumentPipeline",
-    "PipelineContext",
-    "PipelineError",
-    "Stage",
-    "FunctionStage",
-    "ParseStage",
-    "EncodeStage",
-    "EncryptStage",
-    "DecryptStreamStage",
-    "EvaluateStage",
-    "IntegrityAuditStage",
-    "SerializeStage",
     # station
     "SecureStation",
     "StationConfig",
@@ -82,8 +52,6 @@ __all__ = [
     "StationSession",
     "StationStats",
     "StationError",
-    "BatchResult",
-    "SubjectFailure",
     "UpdateResult",
     "ViewStream",
     "seal_payload",

@@ -13,13 +13,9 @@ multi-client generalization the ROADMAP's production framing needs:
 * **per-session key material** — each :meth:`connect` derives a session
   key from the station's master secret, used to seal authorized views
   on the SOE -> client link (the document keys never leave the station);
-* **batched evaluation** — :meth:`evaluate_many` serves N subjects over
-  one encrypted document in a *single pass over the chunks*: the store
-  is transferred, decrypted and integrity-checked once into a decoded
-  event stream, then every subject's plan is evaluated over it
-  in-memory.  For one subject the per-request Skip-index path is
-  cheaper; for N subjects with overlapping needs the batch amortizes
-  the dominant communication + decryption costs N-fold.
+* a **view cache** — an LRU keyed by ``(document id, version, subject,
+  policy digest, query)``; a miss runs the paper's cold oracle,
+  :meth:`SecureSession.run <repro.soe.session.SecureSession.run>`.
 """
 
 from __future__ import annotations
@@ -31,21 +27,18 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
-from repro.accesscontrol.evaluator import StreamingEvaluator
 from repro.accesscontrol.model import Policy
-from repro.accesscontrol.navigation import EventListNavigator
 from repro.compute import ComputeBackend, resolve_backend
 from repro.crypto.chunks import ChunkLayout
-from repro.crypto.integrity import SecureBytes, make_scheme
+from repro.crypto.integrity import make_scheme
 from repro.crypto.modes import decrypt_positioned, encrypt_positioned, pad_to_block
 from repro.crypto.xtea import Xtea
-from repro.engine.pipeline import DocumentPipeline, EncodeStage, ParseStage
 from repro.engine.plans import PolicyPlan, compile_policy, policy_digest
 from repro.metrics import Meter
-from repro.skipindex.decoder import SkipIndexNavigator, decode_document
-from repro.skipindex.encoder import EncodedDocument
+from repro.skipindex.decoder import decode_document
+from repro.skipindex.encoder import EncodedDocument, encode_document
 from repro.skipindex.structural import build_structural_index
 from repro.store import ChunkStore, MemoryStore
 from repro.skipindex.updates import (
@@ -56,9 +49,9 @@ from repro.skipindex.updates import (
     refresh_structural_index,
 )
 from repro.soe.costmodel import CONTEXTS, CostModel, PlatformContext
-from repro.soe.session import PreparedDocument, SessionResult, delivered_bytes
+from repro.soe.session import PreparedDocument, SecureSession, SessionResult
 from repro.xmlkit.dom import Node
-from repro.xmlkit.events import Event
+from repro.xmlkit.parser import parse_document
 from repro.xmlkit.serializer import serialize_events
 
 
@@ -113,10 +106,6 @@ class StationStats:
         "view_invalidations",
         "sessions_opened",
         "requests",
-        "failed_requests",
-        "batches",
-        "batch_subjects",
-        "batch_failures",
         "updates",
         "chunks_reencrypted",
         "indexed_requests",
@@ -157,46 +146,10 @@ class StationSession:
         self.session_id = session_id
         self.session_key = station._derive_session_key(subject, session_id)
 
-    # ------------------------------------------------------------------
-    def view(self, document_id: str, query=None) -> SessionResult:
-        """Authorized view of ``document_id`` under this subject's grant."""
-        return self.station.evaluate(document_id, self.subject, query=query)
-
-    def sealed_view(self, document_id: str, query=None) -> bytes:
-        """Like :meth:`view`, but serialized and sealed for the link."""
-        result = self.view(document_id, query=query)
-        return self.seal(serialize_events(result.events).encode("utf-8"))
-
     def seal(self, payload: bytes) -> bytes:
+        """Seal ``payload`` under this session's link key (the
+        ``sealer`` of :meth:`SecureStation.stream`)."""
         return seal_payload(self.session_key, payload)
-
-    def open(self, blob: bytes) -> bytes:
-        """Client-side inverse of :meth:`seal` (tests / simulation)."""
-        return open_sealed(self.session_key, blob)
-
-    def stream_view(
-        self,
-        document_id: str,
-        query=None,
-        chunk_size: int = 4096,
-        seal: bool = False,
-        tracer=None,
-        trace: int = 0,
-        parent_span: int = 0,
-    ) -> "ViewStream":
-        """Streaming hand-off for the network layer: evaluate, then
-        expose the serialized view as bounded chunks (optionally sealed
-        per chunk under this session's link key)."""
-        return self.station.stream(
-            document_id,
-            self.subject,
-            query=query,
-            chunk_size=chunk_size,
-            sealer=self.seal if seal else None,
-            tracer=tracer,
-            trace=trace,
-            parent_span=parent_span,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "StationSession(%s, #%d)" % (self.subject, self.session_id)
@@ -283,112 +236,6 @@ class _CachedView:
         # Whether the original evaluation went through the structural
         # index; hits replay the flag so trailers stay truthful.
         self.indexed = indexed
-
-
-class SubjectFailure:
-    """Structured per-subject failure inside a batch.
-
-    One client's bad grant or crashing predicate must not kill the
-    whole multi-client response, so :meth:`SecureStation.evaluate_many`
-    records the failure in place of that subject's
-    :class:`SessionResult` and keeps serving the rest.
-
-    ``meter`` carries whatever partial work the subject's evaluation
-    did before it died (empty for failures that never started, like a
-    missing grant).  It is accounted *here*, separately — never folded
-    into the batch's shared meter, the successful subjects' meters or
-    the station's served totals — so a mid-evaluation crash cannot
-    inflate the served chunk/byte counts with work that produced no
-    view.
-    """
-
-    __slots__ = ("subject", "kind", "message", "meter")
-
-    ok = False
-
-    def __init__(
-        self, subject: str, kind: str, message: str, meter: Optional[Meter] = None
-    ):
-        self.subject = subject
-        self.kind = kind
-        self.message = message
-        self.meter = meter if meter is not None else Meter()
-
-    def as_dict(self) -> Dict[str, str]:
-        return {"subject": self.subject, "kind": self.kind, "message": self.message}
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "SubjectFailure(%s: %s, %r)" % (self.subject, self.kind, self.message)
-
-
-class BatchResult:
-    """Outcome of :meth:`SecureStation.evaluate_many`.
-
-    ``per_subject`` maps subject -> :class:`SessionResult` (success) or
-    :class:`SubjectFailure` (structured error); meters of successful
-    entries count only that subject's evaluation and delivery, while
-    ``shared_meter`` carries the one-time transfer/decrypt/integrity
-    cost of the single pass over the chunks.
-    """
-
-    def __init__(
-        self,
-        per_subject: "OrderedDict[str, SessionResult]",
-        shared_meter: Meter,
-        context: PlatformContext,
-    ):
-        self.per_subject = per_subject
-        self.shared_meter = shared_meter
-        self.context = context
-
-    def __getitem__(self, subject: str) -> SessionResult:
-        return self.per_subject[subject]
-
-    def __iter__(self):
-        return iter(self.per_subject.items())
-
-    def __len__(self) -> int:
-        return len(self.per_subject)
-
-    @property
-    def ok(self) -> "OrderedDict[str, SessionResult]":
-        """Successful entries only."""
-        return OrderedDict(
-            (subject, entry)
-            for subject, entry in self.per_subject.items()
-            if not isinstance(entry, SubjectFailure)
-        )
-
-    @property
-    def failures(self) -> "OrderedDict[str, SubjectFailure]":
-        """Failed entries only (empty when the whole batch succeeded)."""
-        return OrderedDict(
-            (subject, entry)
-            for subject, entry in self.per_subject.items()
-            if isinstance(entry, SubjectFailure)
-        )
-
-    @property
-    def seconds(self) -> float:
-        """Simulated wall time of the whole batch on the platform.
-
-        Counts the shared pass plus the *successful* subjects only;
-        partial work of failed subjects lives in
-        :attr:`SubjectFailure.meter` (see :meth:`failure_meter`).
-        """
-        merged = Meter.merged(
-            [self.shared_meter]
-            + [result.meter for result in self.ok.values()]
-        )
-        return CostModel(self.context).breakdown(merged).total
-
-    def failure_meter(self) -> Meter:
-        """Partial work of every failed subject, merged (separate
-        accounting: never part of :attr:`seconds`)."""
-        return Meter.merged(entry.meter for entry in self.failures.values())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "BatchResult(%d subjects, %.3fs)" % (len(self), self.seconds)
 
 
 class UpdateResult:
@@ -630,8 +477,8 @@ class SecureStation:
         options: Optional[PublishOptions] = None,
         **overrides,
     ) -> PreparedDocument:
-        """Register a document: parse/encode/encrypt it (publisher
-        pipeline) unless an already-:class:`PreparedDocument` is given.
+        """Register a document: parse, encode and protect it into the
+        store, unless an already-:class:`PreparedDocument` is given.
 
         ``options`` is a :class:`PublishOptions`; keyword overrides
         (``scheme``, ``key``, ``layout``, ``version_floor``, ``index``)
@@ -668,8 +515,6 @@ class SecureStation:
         prior = self.store.version(document_id)
         next_version = 0 if prior is None else prior + 1
         next_version = max(next_version, version_floor)
-        encoded = None
-        structural = None
         if isinstance(document, PreparedDocument):
             prepared = document
             if opts.index and prepared.index is None:
@@ -683,40 +528,23 @@ class SecureStation:
                     prepared.secure,
                     index=build_structural_index(prepared.encoded),
                 )
-        elif self.store.persistent:
-            # Persistent publish streams: parse + encode here, then the
-            # scheme's record generator flows straight into the store's
-            # log (at most one segment buffered), so a document larger
-            # than RAM publishes without its ciphertext ever
-            # materializing.
-            pipeline = DocumentPipeline(
-                [ParseStage(), EncodeStage()], context=self.platform
-            )
-            if isinstance(document, Node):
-                ctx = pipeline.run(tree=document)
-            else:
-                ctx = pipeline.run(source=document)
-            encoded = ctx.encoded
-            if opts.index:
-                structural = build_structural_index(encoded)
-            prepared = None
         else:
-            pipeline = DocumentPipeline.publisher(
-                scheme=scheme,
-                key=key,
-                layout=layout,
-                context=self.platform,
-                version=next_version,
-                backend=self.backend,
-                index=opts.index,
-            )
-            if isinstance(document, Node):
-                ctx = pipeline.run(tree=document)
-            else:
-                ctx = pipeline.run(source=document)
-            prepared = ctx.prepared
+            tree = parse_document(document) if isinstance(document, str) else document
+            encoded = encode_document(tree)
+            # The structural index walks the *plaintext* encoding, so it
+            # is built here, before the bytes are protected.
+            structural = build_structural_index(encoded) if opts.index else None
+        # The store write happens under the station lock so that it
+        # cannot land between update()'s compare and its swap.
         with self._lock:
-            if encoded is not None:
+            if isinstance(document, PreparedDocument):
+                version = max(prepared.secure.version, next_version)
+                served = self.store.put(document_id, prepared, key, version)
+            else:
+                # A memory store protects the encoding in one piece; a
+                # disk store streams the scheme's chunk records into its
+                # log, so a document larger than RAM publishes without
+                # its ciphertext ever materializing.
                 version = next_version
                 served = self.store.put_stream(
                     document_id,
@@ -728,9 +556,6 @@ class SecureStation:
                     version,
                     index=structural,
                 )
-            else:
-                version = max(prepared.secure.version, next_version)
-                served = self.store.put(document_id, prepared, key, version)
             listeners = list(self._listeners) if prior is not None else []
             if prior is not None:
                 self._invalidate_views(document_id)
@@ -992,8 +817,9 @@ class SecureStation:
 
         With a ``tracer`` (``repro.obs.trace.Tracer``) and a nonzero
         ``trace`` id, the request records spans under ``parent_span``:
-        one ``view-cache`` span on a hit, or one span per pipeline
-        stage (with the stage's Meter counts as attributes) on a miss.
+        one ``view-cache`` span on a hit, or one ``stage:evaluate`` span
+        around the SOE pass (with its Meter counts as attributes) on a
+        miss.
         Untraced requests (``trace`` 0, the default) skip every tracing
         branch — the cached hot path stays within the ratio guard of
         ``benchmarks/test_obs_bench.py``.
@@ -1067,7 +893,7 @@ class SecureStation:
             serve_indexed = False
             with self._lock:
                 self.stats.index_stale += 1
-        ctx = None
+        result = None
         if serve_indexed:
             layout = prepared.scheme.layout
             total_chunks = layout.chunk_count(len(prepared.encoded.data))
@@ -1080,7 +906,7 @@ class SecureStation:
                 # a single chunk is transferred or decrypted.
                 meter = Meter()
                 breakdown = CostModel(self.platform).breakdown(meter)
-                view: List[Event] = []
+                result = SessionResult([], meter, breakdown, self.platform)
                 with self._lock:
                     self.stats.indexed_requests += 1
                     self.stats.index_early_exits += 1
@@ -1091,36 +917,32 @@ class SecureStation:
                     self.stats.indexed_requests += 1
                     self.stats.index_planned_chunks += len(planned)
                     self.stats.index_chunks_total += total_chunks
-                pipeline = DocumentPipeline.consumer(
-                    plan,
-                    query=query_plan,
-                    use_skip_index=self.use_skip_index,
-                    context=self.platform,
-                    prune=self.prune,
-                    index=index,
-                )
-                ctx = pipeline.run(prepared=prepared)
-                view, meter, breakdown = ctx.view, ctx.meter, ctx.breakdown
         else:
             with self._lock:
                 self.stats.streamed_requests += 1
-            pipeline = DocumentPipeline.consumer(
+        if result is None:
+            t_run = perf_counter() if traced else 0.0
+            result = SecureSession(
+                prepared,
                 plan,
-                query=query_plan,
-                use_skip_index=self.use_skip_index,
-                context=self.platform,
+                query_plan,
+                self.platform,
+                self.use_skip_index,
                 prune=self.prune,
-            )
-            ctx = pipeline.run(prepared=prepared)
-            view, meter, breakdown = ctx.view, ctx.meter, ctx.breakdown
-        if traced and ctx is not None:
-            self._record_pipeline_spans(tracer, trace, parent_span, ctx)
-        result = SessionResult(view, meter, breakdown, self.platform)
+                index=index if serve_indexed else None,
+            ).run()
+            if traced:
+                self._record_evaluate_span(
+                    tracer, trace, parent_span, t_run, result.meter
+                )
         result.document_version = version
         result.indexed = serve_indexed
         if cache_key is not None:
             entry = _CachedView(
-                view, meter.copy(), breakdown, indexed=serve_indexed
+                result.events,
+                result.meter.copy(),
+                result.breakdown,
+                indexed=serve_indexed,
             )
             result.cache_entry = entry
             with self._lock:
@@ -1131,38 +953,36 @@ class SecureStation:
                     self.stats.view_evictions += 1
         return result
 
-    # Meter fields attached to each pipeline-stage span.  The meter is
-    # shared across the run (decryption happens lazily while the
-    # evaluator pulls), so these are *request totals* placed on the
-    # stage they conceptually belong to — the span durations are what
-    # localize the wall-clock.
-    _SPAN_METER_ATTRS = {
-        "stream-decrypt": ("bytes_decrypted", "bytes_hashed", "chunks_accessed"),
-        "evaluate": ("events", "token_ops", "skipped_subtrees", "pruned_subtrees"),
-        "serialize": ("bytes_delivered",),
-    }
+    # Meter fields attached to the ``stage:evaluate`` span of a miss.
+    # Decryption and integrity checks run lazily while the evaluator
+    # pulls bytes, so one span covers all of the SOE's work.
+    _SPAN_METER_ATTRS = (
+        "bytes_decrypted",
+        "bytes_hashed",
+        "chunks_accessed",
+        "events",
+        "token_ops",
+        "skipped_subtrees",
+        "pruned_subtrees",
+    )
 
-    def _record_pipeline_spans(self, tracer, trace, parent_span, ctx) -> None:
-        """Turn a finished pipeline run's stage timings into spans."""
-        meter = ctx.meter
-        for name, started, ended in ctx.stage_times:
-            attrs = {
-                field: getattr(meter, field)
-                for field in self._SPAN_METER_ATTRS.get(name, ())
-                if getattr(meter, field)
-            }
-            if name == "stream-decrypt":
-                # The decrypt span names the cipher implementation
-                # that served the crypto work.
-                attrs["backend"] = self.backend.name
-            tracer.record(
-                trace,
-                "stage:%s" % name,
-                started,
-                ended,
-                parent=parent_span,
-                attrs=attrs,
-            )
+    def _record_evaluate_span(self, tracer, trace, parent_span, started, meter):
+        attrs = {
+            field: getattr(meter, field)
+            for field in self._SPAN_METER_ATTRS
+            if getattr(meter, field)
+        }
+        # The span names the cipher implementation that served the
+        # crypto work.
+        attrs["backend"] = self.backend.name
+        tracer.record(
+            trace,
+            "stage:evaluate",
+            started,
+            perf_counter(),
+            parent=parent_span,
+            attrs=attrs,
+        )
 
     def cached_views(self) -> int:
         with self._lock:
@@ -1225,118 +1045,6 @@ class SecureStation:
             if entry is not None:
                 entry.payload = payload
         return ViewStream(result, payload, chunk_size, sealer=sealer)
-
-    def evaluate_many(
-        self,
-        document_id: str,
-        subjects: Sequence[Union[str, Policy, PolicyPlan]],
-        query=None,
-    ) -> BatchResult:
-        """Serve every subject in one pass over the encrypted chunks.
-
-        The store is transferred, decrypted and integrity-verified
-        exactly once (the ``shared_meter`` of the result); each
-        subject's compiled plan then runs over the decoded event stream
-        in SOE memory with exact Skip-index metadata.
-
-        Per-subject problems — a missing grant, a policy that fails to
-        compile, an evaluation crash — become :class:`SubjectFailure`
-        entries in the returned :class:`BatchResult` instead of
-        exceptions, so one bad subject cannot kill a multi-client
-        response.  Batch-level misuse (unknown document, duplicate
-        subjects) still raises.
-        """
-        prepared = self.document(document_id)
-        plans: List[Tuple[str, Union[PolicyPlan, SubjectFailure]]] = []
-        for entry in subjects:
-            if isinstance(entry, str):
-                label = entry
-            else:
-                label = getattr(entry, "subject", "") or "subject%d" % len(plans)
-            if any(label == existing for existing, _plan in plans):
-                raise ValueError(
-                    "duplicate subject %r in evaluate_many batch" % label
-                )
-            try:
-                if isinstance(entry, str):
-                    policy = self._policy_for(document_id, entry)
-                else:
-                    policy = entry
-                plans.append((label, self.plan_for(policy)))
-            except StationError as exc:
-                plans.append((label, SubjectFailure(label, "no-grant", str(exc))))
-            except Exception as exc:
-                plans.append(
-                    (label, SubjectFailure(label, "compile-error", str(exc)))
-                )
-
-        shared_meter = Meter()
-        events = self._decode_once(prepared, shared_meter)
-
-        per_subject: "OrderedDict[str, Union[SessionResult, SubjectFailure]]" = (
-            OrderedDict()
-        )
-        cost_model = CostModel(self.platform)
-        for label, plan in plans:
-            if isinstance(plan, SubjectFailure):
-                per_subject[label] = plan
-                with self._lock:
-                    self.stats.batch_failures += 1
-                continue
-            meter = Meter()
-            try:
-                navigator = EventListNavigator(
-                    events, provide_meta=self.use_skip_index, meter=meter
-                )
-                evaluator = StreamingEvaluator(
-                    plan,
-                    query=plan.query_plan(query),
-                    meter=meter,
-                    enable_skipping=self.use_skip_index,
-                    enable_pruning=self.prune,
-                )
-                view = evaluator.run(navigator)
-            except Exception as exc:
-                # The partial meter travels with the failure — counted
-                # apart from every served total (see SubjectFailure).
-                per_subject[label] = SubjectFailure(
-                    label, "evaluate", str(exc), meter=meter
-                )
-                with self._lock:
-                    self.stats.batch_failures += 1
-                    self.stats.failed_requests += 1
-                continue
-            meter.bytes_delivered += delivered_bytes(view)
-            per_subject[label] = SessionResult(
-                view, meter, cost_model.breakdown(meter), self.platform
-            )
-            with self._lock:
-                self.stats.requests += 1
-        with self._lock:
-            self.stats.batches += 1
-            self.stats.batch_subjects += len(plans)
-        return BatchResult(per_subject, shared_meter, self.platform)
-
-    # ------------------------------------------------------------------
-    def _decode_once(
-        self, prepared: PreparedDocument, meter: Meter
-    ) -> List[Event]:
-        """Decrypt + verify + decode the full store into an event list,
-        charging every primitive cost to ``meter`` exactly once."""
-        reader = prepared.scheme.reader(prepared.secure, meter)
-        navigator = SkipIndexNavigator(
-            SecureBytes(reader),
-            dictionary=prepared.encoded.dictionary,
-            start_offset=prepared.encoded.root_offset,
-            meter=meter,
-            provide_meta=False,
-        )
-        events: List[Event] = []
-        while True:
-            item = navigator.next()
-            if item is None:
-                return events
-            events.append(Event(item[0], item[1]))
 
     def close(self) -> None:
         """Release the document store (log/manifest handles, mmaps).

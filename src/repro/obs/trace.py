@@ -312,7 +312,7 @@ class Tracer:
         attrs: Optional[Dict[str, Any]] = None,
     ) -> Span:
         """Record a span whose start/end were measured elsewhere (e.g.
-        pipeline stage timings taken by ``DocumentPipeline.run``).
+        the station's timing of a cache-miss evaluation).
 
         Takes ownership of ``attrs`` — pass a fresh dict.
         """

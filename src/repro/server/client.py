@@ -1,12 +1,12 @@
 """Blocking client SDK for the station server.
 
-:class:`RemoteSession` mirrors the in-process evaluation APIs —
-``evaluate(document_id, query)`` like :meth:`SecureStation.evaluate`,
-``view()`` like :meth:`StationSession.view` — so code written against
-the local station runs unmodified against a live server.  The returned
-:class:`RemoteResult` carries the reassembled authorized view (bytes,
-text and, lazily, the event stream) plus the server's RESULT trailer
-(simulated seconds, meter counts).
+:class:`RemoteSession` mirrors the in-process evaluation API —
+``evaluate(document_id, query)`` like :meth:`SecureStation.evaluate` —
+so code written against the local station runs unmodified against a
+live server.  The returned :class:`RemoteResult` carries the
+reassembled authorized view (bytes, text and, lazily, the event
+stream) plus the server's RESULT trailer (simulated seconds, meter
+counts).
 
 Plain ``socket`` + the shared :class:`~repro.server.protocol
 .FrameDecoder`; no asyncio on this side, by design — the SDK must be
@@ -295,13 +295,12 @@ class RemoteSession:
     ) -> RemoteResult:
         """The authorized view of ``document_id`` for this subject.
 
-        Mirrors :meth:`SecureStation.evaluate` /
-        :meth:`StationSession.view`; raises :class:`RemoteError` on a
-        structured server error.  With ``cache_views`` enabled an
-        unchanged document is served from the client cache (pending
-        INVALIDATED pushes are drained first, so a cached entry is
-        only served when no newer version has been announced);
-        ``fresh=True`` forces the round-trip.
+        Mirrors :meth:`SecureStation.evaluate`; raises
+        :class:`RemoteError` on a structured server error.  With
+        ``cache_views`` enabled an unchanged document is served from
+        the client cache (pending INVALIDATED pushes are drained first,
+        so a cached entry is only served when no newer version has been
+        announced); ``fresh=True`` forces the round-trip.
         """
         key = (document_id, query)
         if self._cache_views and not fresh:
@@ -347,9 +346,6 @@ class RemoteSession:
                 raise ProtocolError(
                     "unexpected %s frame during a query" % frame.type_name
                 )
-
-    #: Alias mirroring :meth:`StationSession.view`.
-    view = evaluate
 
     def update(self, document_id: str, op, trace: int = 0) -> Dict[str, Any]:
         """Apply a live edit server-side (an UPDATE round-trip).

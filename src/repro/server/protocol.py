@@ -233,6 +233,17 @@ def encode_frame(
     return header + payload
 
 
+def hello_payload(frame: Frame) -> Optional[Dict[str, Any]]:
+    """The JSON object of a HELLO frame, or ``None`` unless it carries a
+    string ``subject`` (the server and the gateway answer ``None`` with
+    a ``bad-frame`` error)."""
+    try:
+        hello = frame.json()
+    except ProtocolError:
+        return None
+    return hello if isinstance(hello.get("subject"), str) else None
+
+
 def json_frame(
     ftype: int,
     session: int,

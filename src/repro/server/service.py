@@ -76,6 +76,7 @@ from repro.server.protocol import (
     FrameDecoder,
     ProtocolError,
     encode_frame_parts,
+    hello_payload,
     json_frame,
 )
 from repro.skipindex.updates import UpdateError, UpdateOp
@@ -317,10 +318,8 @@ class StationServer:
         if conn.session is not None:
             await self._send_error(writer, conn, E_PROTOCOL, "duplicate HELLO")
             return False
-        try:
-            hello = frame.json()
-            subject = hello["subject"]
-        except (ProtocolError, KeyError):
+        hello = hello_payload(frame)
+        if hello is None:
             await self._send_error(
                 writer, conn, E_BAD_FRAME, "HELLO payload must carry a subject"
             )
@@ -330,7 +329,7 @@ class StationServer:
         # off-loop: key derivation must never stall frame dispatch.
         loop = asyncio.get_running_loop()
         conn.session = await loop.run_in_executor(
-            None, self.station.connect, str(subject)
+            None, self.station.connect, hello["subject"]
         )
         welcome = {
             "session": conn.session.session_id,
@@ -377,11 +376,12 @@ class StationServer:
         session = conn.session
 
         def evaluate(tracer=None, trace=0, parent_span=0):
-            return session.stream_view(
+            return self.station.stream(
                 document_id,
+                session.subject,
                 query=query,
                 chunk_size=self.chunk_size,
-                seal=self.seal,
+                sealer=session.seal if self.seal else None,
                 tracer=tracer,
                 trace=trace,
                 parent_span=parent_span,

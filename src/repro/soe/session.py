@@ -6,14 +6,14 @@ terminal under one of the Fig. 11 schemes.
 
 :class:`SecureSession` performs the SOE-side work: it opens a
 decrypting, integrity-checking view on the stored bytes, drives the
-Skip-index decoder and the streaming evaluator over it, and accounts
+Skip-index decoder (or, given a publish-time structural index, the
+indexed navigator) and the streaming evaluator over it, and accounts
 every primitive cost in a :class:`~repro.metrics.Meter`, converted to
-simulated seconds by the :mod:`~repro.soe.costmodel`.  Since the
-engine-layer refactor the session compiles its policy into a
-:class:`~repro.engine.plans.PolicyPlan` once at construction and each
-:meth:`~SecureSession.run` executes the engine's consumer pipeline;
-multi-client serving lives in :class:`~repro.engine.station.
-SecureStation`.
+simulated seconds by the :mod:`~repro.soe.costmodel`.  The session
+compiles its policy into a :class:`~repro.engine.plans.PolicyPlan` once
+at construction, so repeated :meth:`~SecureSession.run` calls reuse it.
+It is the paper's cold oracle and also the cache-miss path of the
+multi-client :class:`~repro.engine.station.SecureStation`.
 
 The tag dictionary and the document key are SOE-resident secrets
 (Section 2: delivered over a secured channel), so reading them is not
@@ -24,10 +24,22 @@ from __future__ import annotations
 
 from typing import List, Optional, Union
 
-from repro.crypto.integrity import BaseScheme, SecureDocument, make_scheme
+from repro.accesscontrol.evaluator import StreamingEvaluator
+from repro.crypto.integrity import (
+    BaseScheme,
+    SecureBytes,
+    SecureDocument,
+    make_scheme,
+)
 from repro.crypto.chunks import ChunkLayout
 from repro.metrics import Meter
+from repro.skipindex.decoder import SkipIndexNavigator
 from repro.skipindex.encoder import EncodedDocument, encode_document
+from repro.skipindex.structural import (
+    IndexedNavigator,
+    StructuralIndex,
+    build_structural_index,
+)
 from repro.soe.costmodel import CONTEXTS, CostModel, PlatformContext, TimeBreakdown
 from repro.xmlkit.dom import Node
 from repro.xmlkit.events import OPEN, TEXT, Event, events_to_tree
@@ -85,11 +97,7 @@ def prepare_document(
     encoded = encode_document(tree)
     scheme_obj = make_scheme(scheme, key=key, layout=layout)
     secure = scheme_obj.protect(encoded.data)
-    structural = None
-    if index:
-        from repro.skipindex.structural import build_structural_index
-
-        structural = build_structural_index(encoded)
+    structural = build_structural_index(encoded) if index else None
     return PreparedDocument(encoded, scheme_obj, secure, index=structural)
 
 
@@ -181,6 +189,16 @@ class SecureSession:
     use_skip_index:
         ``False`` reproduces the Brute-Force strategy: the evaluator
         sees every event and no subtree is ever skipped.
+    prune:
+        Skip-pruned replay (the serving hot path, see
+        :class:`~repro.accesscontrol.evaluator.StreamingEvaluator`);
+        off by default so the paper-figure benches keep their exact
+        cold-path cost accounting.
+    index:
+        A :class:`~repro.skipindex.structural.StructuralIndex` of the
+        document: the navigator then replays structure from the index
+        and touches the ciphertext only for text payloads and captures
+        — identical events, strictly fewer chunks decrypted.
     """
 
     def __init__(
@@ -190,6 +208,9 @@ class SecureSession:
         query: Union[str, Path, None] = None,
         context: Union[str, PlatformContext] = "smartcard",
         use_skip_index: bool = True,
+        *,
+        prune: bool = False,
+        index: Optional[StructuralIndex] = None,
     ):
         # The engine layer sits above the SOE; import lazily (see the
         # layering rule in repro/engine/__init__.py).
@@ -203,23 +224,47 @@ class SecureSession:
             CONTEXTS[context] if isinstance(context, str) else context
         )
         self.use_skip_index = use_skip_index
+        self.prune = prune
+        self.index = index
 
     def run(self) -> SessionResult:
-        """One SOE pass, via the engine's consumer pipeline.
+        """One SOE pass: stream-decrypt, evaluate, price.
 
-        The plan (and any compiled query) is reused across calls, so
-        repeated runs of one session never re-touch the XPath parser.
+        Decryption and integrity checks run lazily inside evaluation,
+        as the navigator pulls bytes.  The plan (and any compiled
+        query) is reused across calls, so repeated runs of one session
+        never re-touch the XPath parser.
         """
-        from repro.engine.pipeline import DocumentPipeline
-
-        pipeline = DocumentPipeline.consumer(
+        prepared = self.prepared
+        meter = Meter()
+        data = SecureBytes(prepared.scheme.reader(prepared.secure, meter))
+        if self.index is not None:
+            navigator = IndexedNavigator(
+                data,
+                self.index,
+                prepared.encoded.dictionary,
+                meter=meter,
+                provide_meta=self.use_skip_index,
+            )
+        else:
+            navigator = SkipIndexNavigator(
+                data,
+                dictionary=prepared.encoded.dictionary,
+                start_offset=prepared.encoded.root_offset,
+                meter=meter,
+                provide_meta=self.use_skip_index,
+            )
+        evaluator = StreamingEvaluator(
             self.plan,
             query=self.query,
-            use_skip_index=self.use_skip_index,
-            context=self.context,
+            meter=meter,
+            enable_skipping=self.use_skip_index,
+            enable_pruning=self.prune,
         )
-        ctx = pipeline.run(prepared=self.prepared)
-        return SessionResult(ctx.view, ctx.meter, ctx.breakdown, self.context)
+        events = evaluator.run(navigator)
+        meter.bytes_delivered += delivered_bytes(events)
+        breakdown = CostModel(self.context).breakdown(meter)
+        return SessionResult(events, meter, breakdown, self.context)
 
 
 def lwb_bytes(view_events: List[Event]) -> int:

@@ -32,6 +32,7 @@ from repro.server.client import RemoteError, RemoteSession
 from repro.server.protocol import (
     ERROR,
     FORWARD,
+    HELLO,
     RESULT,
     FrameDecoder,
     json_frame,
@@ -137,6 +138,27 @@ class TestGatewayServing:
                 with pytest.raises(RemoteError) as excinfo:
                     session.evaluate("hospital")
                 assert excinfo.value.code == "no-grant"
+        finally:
+            cluster.stop()
+
+    def test_non_string_hello_subject_gets_bad_frame_error(self):
+        cluster, _docs, _subjects = make_cluster(documents=1)
+        try:
+            decoder = FrameDecoder()
+            address = cluster.gateway_address
+            with socket.create_connection(address, timeout=10) as sock:
+                sock.sendall(json_frame(HELLO, 0, {"subject": None}))
+                frames = []
+                while not frames:
+                    data = sock.recv(65536)
+                    if not data:
+                        break
+                    frames = decoder.feed(data)
+            assert frames and frames[0].type == ERROR
+            assert frames[0].json() == {
+                "code": "bad-frame",
+                "message": "HELLO payload must carry a subject",
+            }
         finally:
             cluster.stop()
 

@@ -530,27 +530,31 @@ class TestChunkCursor:
 
     @pytest.mark.parametrize("kernel", ["pure", "native"])
     @pytest.mark.parametrize("name", sorted(SCHEMES))
-    def test_station_decode_once_matches_per_byte_reads(
-        self, name, kernel, monkeypatch
-    ):
-        from repro.engine import SecureStation
-        from repro.engine import station as station_module
-        from repro.soe.session import PreparedDocument
+    def test_session_run_matches_per_byte_reads(self, name, kernel, monkeypatch):
+        from repro.datasets.hospital import doctor_policy
+        from repro.skipindex.structural import build_structural_index
+        from repro.soe import session as session_module
+        from repro.soe.session import PreparedDocument, SecureSession
 
         scheme = make_scheme(name, key=KEY16, cipher_factory=_kernel_factory(kernel))
         encoded = _hospital_encoding(3)
         prepared = PreparedDocument(encoded, scheme, scheme.protect(encoded.data))
-        with SecureStation(backend="pure") as station:
+        index = build_structural_index(encoded)
+        policy = doctor_policy("doctor0")
+        for label, query, structural in (
+            ("streamed", None, None),
+            ("indexed", "//Folder/MedActs/Act", index),
+        ):
             runs = []
             for view in (SecureBytes, PerByteView):
-                monkeypatch.setattr(station_module, "SecureBytes", view)
-                meter = Meter()
-                events = station._decode_once(prepared, meter)
-                runs.append((events, meter.as_dict()))
-        assert runs[0] == runs[1]
-        assert runs[0][1]["chunks_accessed"] == scheme.layout.chunk_count(
-            len(encoded.data)
-        )
+                monkeypatch.setattr(session_module, "SecureBytes", view)
+                result = SecureSession(
+                    prepared, policy, query=query, index=structural
+                ).run()
+                runs.append((result.events, result.meter.as_dict()))
+            assert runs[0] == runs[1], label
+            assert runs[0][0], label
+            assert runs[0][1]["chunks_accessed"] > 0, label
 
     def test_tampered_fragment_of_open_chunk_raises_when_touched(self):
         scheme = make_scheme("ECB-MHT", key=KEY16)

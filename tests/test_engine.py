@@ -1,4 +1,4 @@
-"""Tests for the engine layer: plans, pipeline, SecureStation."""
+"""Tests for the engine layer: plans and SecureStation."""
 
 import pytest
 
@@ -10,15 +10,17 @@ from repro import (
     reference_authorized_view,
 )
 from repro.accesscontrol.evaluator import StreamingEvaluator
+from repro.crypto.integrity import SCHEMES
+from repro.datasets.hospital import HospitalConfig, doctor_policy, generate_hospital
 from repro.engine import (
-    DocumentPipeline,
-    PipelineError,
     QueryPlan,
     SecureStation,
     StationError,
     compile_query,
+    open_sealed,
     policy_digest,
 )
+from repro.soe.session import SecureSession
 from repro.xmlkit.events import events_to_tree
 from repro.xmlkit.parser import parse_document
 from repro.xpath import nfa
@@ -130,67 +132,6 @@ class TestPolicyPlan:
 
 
 # ----------------------------------------------------------------------
-# Pipeline
-# ----------------------------------------------------------------------
-class TestDocumentPipeline:
-    def test_end_to_end_matches_reference(self):
-        plan = compile_policy(secretary())
-        pipeline = DocumentPipeline.end_to_end(plan, serialize=True)
-        ctx = pipeline.run(source=DOC)
-        reference = reference_authorized_view(parse_document(DOC), secretary())
-        assert ctx.view == reference
-        assert ctx.serialized.startswith("<folder>")
-        assert set(ctx.stage_seconds) == {
-            "parse", "encode", "encrypt", "stream-decrypt", "evaluate",
-            "serialize",
-        }
-
-    def test_publisher_then_consumer_reusable(self):
-        plan = compile_policy(secretary())
-        prepared = DocumentPipeline.publisher().run(source=DOC).prepared
-        consumer = DocumentPipeline.consumer(plan)
-        first = consumer.run(prepared=prepared)
-        second = consumer.run(prepared=prepared)
-        assert first.view == second.view
-        assert first.meter is not second.meter  # fresh context per run
-
-    def test_breakdown_and_meter_populated(self):
-        plan = compile_policy(secretary())
-        ctx = DocumentPipeline.end_to_end(plan).run(source=DOC)
-        assert ctx.breakdown.total > 0
-        assert ctx.meter.bytes_transferred > 0
-        assert ctx.meter.bytes_delivered > 0
-
-    def test_integrity_audit_ok(self):
-        plan = compile_policy(secretary())
-        pipeline = DocumentPipeline.publisher(scheme="ECB-MHT") + (
-            DocumentPipeline.consumer(plan, integrity_audit=True)
-        )
-        ctx = pipeline.run(source=DOC)
-        assert ctx.integrity_report["ok"] is True
-        assert ctx.integrity_report["verifies"] is True
-        assert ctx.integrity_report["bytes_checked"] > 0
-
-    def test_integrity_audit_detects_tampering(self):
-        plan = compile_policy(secretary())
-        prepared = DocumentPipeline.publisher(scheme="ECB-MHT").run(source=DOC).prepared
-        stored = bytearray(prepared.secure.stored)
-        stored[len(stored) // 2] ^= 0xFF
-        prepared.secure.stored = bytes(stored)
-        ctx = DocumentPipeline(
-            [stage for stage in DocumentPipeline.consumer(
-                plan, integrity_audit=True
-            ).stages if stage.name == "integrity-check"]
-        ).run(prepared=prepared)
-        assert ctx.integrity_report["ok"] is False
-
-    def test_missing_input_raises(self):
-        plan = compile_policy(secretary())
-        with pytest.raises(PipelineError):
-            DocumentPipeline.consumer(plan).run(source=DOC)  # no prepared
-
-
-# ----------------------------------------------------------------------
 # SecureStation
 # ----------------------------------------------------------------------
 class TestSecureStation:
@@ -221,60 +162,17 @@ class TestSecureStation:
             assert result.events == reference_authorized_view(tree, policy), subject
             assert result.seconds > 0
 
-    def test_evaluate_many_three_subjects_match_reference(self):
-        station = self.build_station()
+    def test_each_subject_pays_its_own_cold_pass(self):
+        station = self.build_station(cache_views=False)
         tree = parse_document(DOC)
-        batch = station.evaluate_many("folder", ["sec", "ann", "aud"])
-        assert len(batch) == 3
         for subject, policy in self.subjects().items():
-            assert batch[subject].events == reference_authorized_view(
-                tree, policy
-            ), subject
-        # The single pass decrypts the store exactly once.
-        assert batch.shared_meter.bytes_decrypted > 0
-        for _subject, result in batch:
-            assert result.meter.bytes_decrypted == 0
-        assert batch.seconds > 0
-
-    def test_evaluate_many_rejects_duplicate_subjects(self):
-        station = self.build_station()
-        with pytest.raises(ValueError):
-            station.evaluate_many("folder", ["sec", "sec"])
-
-    def test_evaluate_many_surfaces_per_subject_failures(self):
-        from repro.engine import SubjectFailure
-
-        station = self.build_station()
-        tree = parse_document(DOC)
-        batch = station.evaluate_many("folder", ["sec", "stranger", "aud"])
-        assert len(batch) == 3
-        # The bad subject becomes a structured failure ...
-        failure = batch["stranger"]
-        assert isinstance(failure, SubjectFailure)
-        assert failure.kind == "no-grant"
-        assert "stranger" in failure.message
-        assert failure.as_dict()["subject"] == "stranger"
-        assert list(batch.failures) == ["stranger"]
-        assert station.stats.batch_failures == 1
-        # ... while the healthy subjects are still served correctly.
-        assert list(batch.ok) == ["sec", "aud"]
-        for subject in ("sec", "aud"):
-            assert batch[subject].events == reference_authorized_view(
-                tree, self.subjects()[subject]
-            ), subject
-        assert batch.seconds > 0  # failures do not break cost accounting
-
-    def test_evaluate_many_all_failures_still_returns(self):
-        station = self.build_station()
-        batch = station.evaluate_many("folder", ["ghost1", "ghost2"])
-        assert len(batch.failures) == 2
-        assert not batch.ok
-        assert batch.seconds > 0  # the shared decode pass still ran
-
-    def test_evaluate_many_unknown_document_still_raises(self):
-        station = self.build_station()
-        with pytest.raises(StationError):
-            station.evaluate_many("nope", ["sec"])
+            first = station.evaluate("folder", subject)
+            assert first.events == reference_authorized_view(tree, policy), subject
+            # Every miss decrypts for itself, and the cold path is
+            # deterministic: a rerun charges the same Meter.
+            assert first.meter.bytes_decrypted > 0, subject
+            again = station.evaluate("folder", subject)
+            assert again.meter.as_dict() == first.meter.as_dict(), subject
 
     def test_plan_cache_hits(self):
         station = self.build_station()
@@ -294,16 +192,19 @@ class TestSecureStation:
         assert station.cached_plans() == 2
         assert station.stats.plan_evictions == 1
 
-    def test_sessions_and_sealed_views(self):
+    def test_sessions_seal_streamed_views(self):
         station = self.build_station()
         session = station.connect("sec")
         other = station.connect("sec")
         assert session.session_key != other.session_key
-        blob = session.sealed_view("folder")
-        payload = session.open(blob).decode("utf-8")
+        stream = station.stream(
+            "folder", session.subject, chunk_size=1 << 20, sealer=session.seal
+        )
+        (blob,) = stream.chunks()
+        payload = open_sealed(session.session_key, blob).decode("utf-8")
         assert payload.startswith("<folder>")
         with pytest.raises(ValueError):
-            other.open(blob)  # wrong session key
+            open_sealed(other.session_key, blob)  # wrong session key
 
     def test_unknown_document_and_grant(self):
         station = self.build_station()
@@ -327,10 +228,9 @@ class TestSecureStation:
     def test_brute_force_station_agrees(self):
         station = self.build_station(use_skip_index=False)
         tree = parse_document(DOC)
-        batch = station.evaluate_many("folder", ["sec", "ann", "aud"])
         for subject, policy in self.subjects().items():
-            assert batch[subject].events == reference_authorized_view(
-                tree, policy
+            assert station.evaluate("folder", subject).events == (
+                reference_authorized_view(tree, policy)
             ), subject
 
     def test_view_roundtrips_to_tree(self):
@@ -338,3 +238,31 @@ class TestSecureStation:
         result = station.evaluate("folder", "sec")
         tree = events_to_tree(result.events)
         assert tree.tag == "folder"
+
+
+# ----------------------------------------------------------------------
+# The station's cache miss is the paper's cold oracle
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "mode, query",
+    [
+        ("streamed", None),
+        ("streamed", "//Folder/MedActs/Act"),
+        ("indexed", "//Folder/MedActs/Act"),
+    ],
+)
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+def test_station_miss_equals_secure_session(scheme, mode, query):
+    tree = generate_hospital(HospitalConfig(folders=3, seed=5))
+    policy = doctor_policy("doctor0")
+    station = SecureStation(cache_views=False, prune=False)
+    prepared = station.publish("h", tree, scheme=scheme, index=mode == "indexed")
+    station.grant("h", policy)
+    served = station.evaluate("h", "doctor0", query=query)
+    oracle = SecureSession(
+        prepared, policy, query=query, context=station.platform, index=prepared.index
+    ).run()
+    assert served.indexed == (mode == "indexed")
+    assert served.events and served.events == oracle.events
+    assert served.meter.as_dict() == oracle.meter.as_dict()
+    assert served.breakdown.total == oracle.breakdown.total

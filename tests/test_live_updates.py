@@ -11,9 +11,7 @@ The headline properties under test:
 * in-flight readers finish against the pre-update snapshot
   (copy-on-write), never a mix of versions;
 * concurrent connects mint unique session ids/keys and the plan LRU
-  survives concurrent hammering (the station lock);
-* a subject failing mid-evaluation in ``evaluate_many`` keeps its
-  partial meter out of every served total.
+  survives concurrent hammering (the station lock).
 """
 
 import threading
@@ -449,72 +447,3 @@ class TestStationThreadSafety:
         for offset in range(4):
             for n in range(5):
                 assert "T%d-%d####" % (offset, n) in text
-
-
-# ----------------------------------------------------------------------
-# evaluate_many: failed subjects accounted separately
-# ----------------------------------------------------------------------
-class TestBatchFailureAccounting:
-    def build_batch_station(self):
-        station = SecureStation()
-        station.publish("db", DOC, layout=LAYOUT)
-        for subject in ("alice", "boom", "carol"):
-            station.grant(
-                "db", Policy([AccessRule("+", "//db")], subject=subject)
-            )
-        return station
-
-    def test_mid_evaluation_failure_keeps_partial_meter_separate(
-        self, monkeypatch
-    ):
-        import repro.engine.station as station_module
-
-        station = self.build_batch_station()
-        real_evaluator = station_module.StreamingEvaluator
-
-        class ExplodingEvaluator:
-            def __init__(self, plan, **kwargs):
-                self._inner = real_evaluator(plan, **kwargs)
-                self._meter = kwargs.get("meter")
-                self._boom = plan.subject == "boom"
-
-            def run(self, navigator):
-                if self._boom:
-                    # Simulate work done before the crash: the partial
-                    # counts land on this subject's meter.
-                    self._meter.events += 1000
-                    self._meter.bytes_delivered += 4096
-                    raise RuntimeError("predicate exploded mid-stream")
-                return self._inner.run(navigator)
-
-        monkeypatch.setattr(
-            station_module, "StreamingEvaluator", ExplodingEvaluator
-        )
-        batch = station.evaluate_many("db", ["alice", "boom", "carol"])
-
-        failures = batch.failures
-        assert list(failures) == ["boom"]
-        failure = failures["boom"]
-        assert failure.kind == "evaluate"
-        # The partial work is visible on the failure itself...
-        assert failure.meter.events == 1000
-        assert failure.meter.bytes_delivered == 4096
-        assert batch.failure_meter().events == 1000
-        # ...and in none of the served totals.
-        for result in batch.ok.values():
-            assert result.meter.bytes_delivered != 4096
-        served = Meter.merged(
-            [batch.shared_meter] + [r.meter for r in batch.ok.values()]
-        )
-        assert served.events < 1000 * 10  # sanity: no 1000-event spike
-        assert station.stats.failed_requests == 1
-        assert station.stats.batch_failures == 1
-        assert station.stats.requests == 2  # alice + carol only
-
-    def test_no_grant_failure_has_empty_meter(self):
-        station = self.build_batch_station()
-        batch = station.evaluate_many("db", ["alice", "nobody"])
-        failure = batch.failures["nobody"]
-        assert failure.kind == "no-grant"
-        assert failure.meter.as_dict() == Meter().as_dict()
-        assert station.stats.failed_requests == 0  # never started

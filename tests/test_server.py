@@ -20,6 +20,7 @@ from repro.server.client import RemoteError, RemoteSession
 from repro.server.loadgen import percentile, run_load, write_report
 from repro.server.protocol import (
     CHUNK,
+    ERROR,
     HELLO,
     QUERY,
     Frame,
@@ -394,7 +395,9 @@ class TestSealedLink:
 
         station, _subjects = hospital
         session = station.connect("secretary")
-        stream = session.stream_view("hospital", chunk_size=1 << 20, seal=True)
+        stream = station.stream(
+            "hospital", session.subject, chunk_size=1 << 20, sealer=session.seal
+        )
         chunks = list(stream.chunks())
         assert len(chunks) == 1
         assert stream.payload not in chunks[0]
@@ -500,6 +503,32 @@ class TestSessionLimits:
         # The server keeps serving other clients.
         with RemoteSession(host, port, subjects[0]) as session:
             assert session.evaluate("hospital").data
+
+    @pytest.mark.parametrize(
+        "hello",
+        [{"subject": None}, {"subject": [1]}, {"subject": 7}, {}],
+        ids=["null", "list", "number", "missing"],
+    )
+    def test_non_string_hello_subject_gets_bad_frame_error(
+        self, live_server, hello
+    ):
+        import socket
+
+        _server, host, port, _subjects = live_server
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(json_frame(HELLO, 0, hello))
+            decoder = FrameDecoder()
+            frames = []
+            while not frames:
+                data = sock.recv(65536)
+                if not data:
+                    break
+                frames = decoder.feed(data)
+        assert frames and frames[0].type == ERROR
+        assert frames[0].json() == {
+            "code": "bad-frame",
+            "message": "HELLO payload must carry a subject",
+        }
 
 
 # ----------------------------------------------------------------------

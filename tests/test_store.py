@@ -23,9 +23,11 @@ import pytest
 
 from repro.accesscontrol.model import AccessRule, Policy
 from repro.crypto.integrity import SCHEMES, IntegrityError
-from repro.engine import DocumentPipeline, SecureStation
+from repro.engine import SecureStation
+from repro.soe.session import prepare_document
 from repro.skipindex.updates import UpdateOp
 from repro.store import LogStore, MemoryStore, StoreError, open_store
+from repro.xmlkit.parser import parse_document
 from repro.xmlkit.serializer import serialize_events
 
 KEY = bytes(range(16))
@@ -70,11 +72,7 @@ def test_log_store_parity_all_schemes(tmp_path, scheme):
 
 
 def test_stored_bytes_identical_across_restart(tmp_path):
-    prepared = (
-        DocumentPipeline.publisher(scheme="ECB-MHT", key=KEY)
-        .run(source=DOC)
-        .prepared
-    )
+    prepared = prepare_document(parse_document(DOC), "ECB-MHT", KEY)
     reference = bytes(prepared.secure.stored)
 
     store = LogStore(str(tmp_path))
